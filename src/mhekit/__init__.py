@@ -6,7 +6,6 @@ output-injection observer: the solver is warm-started at the observer's
 trajectory and never returns a feasible point of higher cost.
 """
 
-from .accel import force_generic, numba_available, numba_enabled
 from .analysis import (
     CostBoundConstants,
     DetectabilityConstants,

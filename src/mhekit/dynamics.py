@@ -14,8 +14,6 @@ from typing import Callable
 
 import numpy as np
 
-from . import accel
-
 REACTOR_K1 = 0.16
 REACTOR_K2 = 0.64
 DEFAULT_DT = 0.1
@@ -65,11 +63,14 @@ class BoxSet:
     def bounded(self) -> bool:
         return bool(np.all(np.isfinite(self.lower)) and np.all(np.isfinite(self.upper)))
 
+    def row_violations(self, rows) -> np.ndarray:
+        """Largest bound excess along the last axis (0 inside the box)."""
+        rows = np.asarray(rows, dtype=np.float64)
+        excess = np.maximum(self.lower - rows, rows - self.upper)
+        return np.max(np.maximum(excess, 0.0), axis=-1, initial=0.0)
+
     def violation(self, x) -> float:
-        x = np.asarray(x, dtype=np.float64)
-        below = np.maximum(self.lower - x, 0.0)
-        above = np.maximum(x - self.upper, 0.0)
-        return float(np.max(np.maximum(below, above), initial=0.0))
+        return float(self.row_violations(x))
 
     def contains(self, x, tol: float = 0.0) -> bool:
         return self.violation(x) <= tol
@@ -80,11 +81,7 @@ class BoxSet:
 
 @dataclass(frozen=True, eq=False)
 class SystemModel:
-    """Discrete-time plant x+ = f(x) + w, y = h(x) + v with box constraint sets.
-
-    ``jit_maps`` optionally holds compiled (f, h, f_jac, h_jac) used by the
-    fused window kernels; the plain callables are always present.
-    """
+    """Discrete-time plant x+ = f(x) + w, y = h(x) + v with box constraint sets."""
 
     n: int
     p: int
@@ -96,7 +93,6 @@ class SystemModel:
     lipschitz_h: float | None = None
     f_jac: Callable[[np.ndarray], np.ndarray] | None = None
     h_jac: Callable[[np.ndarray], np.ndarray] | None = None
-    jit_maps: tuple | None = None
     name: str = ""
 
     def __post_init__(self):
@@ -167,7 +163,7 @@ def _psd_factor(cov: np.ndarray, name: str = "covariance") -> np.ndarray:
 def batch_reactor_drift(x) -> np.ndarray:
     """Continuous-time reactor kinetics for 2A <-> B in concentration units."""
     x = _as_vector(x, dim=2)
-    drift = _reactor_maps(DEFAULT_DT, accel.numba_enabled())[4]
+    drift = _reactor_maps(DEFAULT_DT)[4]
     return drift(x)
 
 
@@ -187,28 +183,20 @@ def rk4_step(drift: Callable[[np.ndarray], np.ndarray], x, dt: float) -> np.ndar
 
 
 @functools.lru_cache(maxsize=None)
-def _reactor_maps(dt: float, jit: bool):
-    """Reactor transition/output maps and exact Jacobians, optionally compiled."""
-    if jit and accel.numba_available():
-        deco = accel.njit(cache=True)
-    else:
-        deco = lambda fn: fn  # noqa: E731
-
+def _reactor_maps(dt: float):
+    """Reactor transition/output maps and exact Jacobians."""
     k1c = REACTOR_K1
     k2c = REACTOR_K2
 
-    @deco
     def drift(x):
         a = k1c * x[0] * x[0]
         b = k2c * x[1]
         return np.array([-2.0 * a + 2.0 * b, a - b])
 
-    @deco
     def drift_jac(x):
         da = 2.0 * k1c * x[0]
         return np.array([[-2.0 * da, 2.0 * k2c], [da, -k2c]])
 
-    @deco
     def f(x):
         s1 = drift(x)
         s2 = drift(x + 0.5 * dt * s1)
@@ -216,11 +204,9 @@ def _reactor_maps(dt: float, jit: bool):
         s4 = drift(x + dt * s3)
         return x + (dt / 6.0) * (s1 + 2.0 * s2 + 2.0 * s3 + s4)
 
-    @deco
     def h(x):
         return np.array([x[0] + x[1]])
 
-    @deco
     def f_jac(x):
         eye = np.eye(2)
         s1 = drift(x)
@@ -235,16 +221,15 @@ def _reactor_maps(dt: float, jit: bool):
         j4 = drift_jac(x4) @ (eye + dt * j3)
         return eye + (dt / 6.0) * (j1 + 2.0 * j2 + 2.0 * j3 + j4)
 
-    @deco
     def h_jac(x):
         return np.array([[1.0, 1.0]])
 
     return f, h, f_jac, h_jac, drift
 
 
-@functools.lru_cache(maxsize=None)
-def _cached_reactor_model(dt: float, jit: bool) -> SystemModel:
-    f, h, f_jac, h_jac, _ = _reactor_maps(dt, jit)
+def batch_reactor_model(dt: float = DEFAULT_DT) -> SystemModel:
+    """The discretized batch reactor (all constraint sets unbounded)."""
+    f, h, f_jac, h_jac, _ = _reactor_maps(float(dt))
     return SystemModel(
         n=2,
         p=1,
@@ -256,16 +241,8 @@ def _cached_reactor_model(dt: float, jit: bool) -> SystemModel:
         lipschitz_h=float(np.sqrt(2.0)),
         f_jac=f_jac,
         h_jac=h_jac,
-        jit_maps=(f, h, f_jac, h_jac) if (jit and accel.numba_available()) else None,
         name="batch_reactor",
     )
-
-
-def batch_reactor_model(dt: float = DEFAULT_DT, jit: bool | None = None) -> SystemModel:
-    """The discretized batch reactor (all constraint sets unbounded)."""
-    if jit is None:
-        jit = accel.numba_enabled()
-    return _cached_reactor_model(float(dt), bool(jit))
 
 
 def simulate(

@@ -74,6 +74,16 @@ class ExperimentConfig:
             raise ConfigError("steps must be nonnegative")
         if any(b < 0 for b in self.budgets):
             raise ConfigError("budgets must be nonnegative")
+        if not _numeric(self, "dt", ()) > 0:
+            raise ConfigError("dt must be positive")
+        model = build_model(self)
+        n, p = model.n, model.p
+        for name in ("x0", "z0", "observer_gain"):
+            _numeric(self, name, (n,))
+        for name, dim in (("process_cov", n), ("output_cov", p)):
+            cov = _numeric(self, name, (dim, dim))
+            if not np.array_equal(cov, cov.T) or np.linalg.eigvalsh(cov)[0] <= 0:
+                raise ConfigError(f"{name} must be symmetric positive definite")
 
     def to_dict(self) -> dict:
         doc = asdict(self)
@@ -101,13 +111,13 @@ class ExperimentConfig:
                 doc["detectability"] = DetectabilityConstants(**doc["detectability"])
             except (TypeError, ValueError) as exc:
                 raise ConfigError(f"bad detectability constants: {exc}") from exc
-        for key in ("budgets", "x0", "z0", "observer_gain"):
-            if key in doc:
-                doc[key] = tuple(doc[key])
-        for key in ("process_cov", "output_cov"):
-            if key in doc:
-                doc[key] = tuple(tuple(row) for row in doc[key])
         try:
+            for key in ("budgets", "x0", "z0", "observer_gain"):
+                if key in doc:
+                    doc[key] = tuple(doc[key])
+            for key in ("process_cov", "output_cov"):
+                if key in doc:
+                    doc[key] = tuple(tuple(row) for row in doc[key])
             return cls(**doc)
         except TypeError as exc:
             raise ConfigError(str(exc)) from exc
@@ -125,6 +135,19 @@ class ExperimentConfig:
         except json.JSONDecodeError as exc:
             raise ConfigError(f"config file {path} is not valid JSON: {exc}") from exc
         return cls.from_dict(doc)
+
+
+def _numeric(cfg: ExperimentConfig, name: str, shape: tuple[int, ...]) -> np.ndarray:
+    """Config field ``name`` as a finite float array of the given shape."""
+    try:
+        value = np.asarray(getattr(cfg, name), dtype=np.float64)
+    except (TypeError, ValueError) as exc:
+        raise ConfigError(f"{name} must be numeric") from exc
+    if value.shape != shape:
+        raise ConfigError(f"{name} must have shape {shape}, got {value.shape}")
+    if not np.all(np.isfinite(value)):
+        raise ConfigError(f"{name} must be finite")
+    return value
 
 
 def build_model(cfg: ExperimentConfig) -> SystemModel:

@@ -14,7 +14,6 @@ from typing import Callable
 
 import numpy as np
 
-from . import accel
 from .dynamics import NumericsError, SystemModel
 from .observer import ObserverLog
 
@@ -44,7 +43,7 @@ class CostSpec:
     The bounds state c_lo * |.|^a <= term <= c_hi * |.|^a for the prior
     weighting (in |chi - prior|), the disturbance part (in |omega|) and the
     residual part (in |nu|). ``quad`` is set for quadratic costs and enables
-    the compiled kernels; the gradient callables are required for
+    the Gauss-Newton direction; the gradient callables are required for
     gradient-based solving of non-quadratic costs.
     """
 
@@ -194,66 +193,41 @@ def _check_dims(problem: HorizonProblem, d: DecisionVector) -> None:
         raise ValueError("decision vector does not match the window dimensions")
 
 
-def _rollout_generic(
-    problem: HorizonProblem, d: DecisionVector
-) -> tuple[np.ndarray, np.ndarray]:
+def _forward_pass(problem: HorizonProblem, chi0, omegas) -> WindowRollout:
+    """States, eliminated residuals and cost of (chi0, omegas), unchecked.
+
+    The one window evaluation: the public functions and the solver all use
+    it, and a caller that needs finite values checks them itself.
+    """
     model = problem.model
+    cost = problem.cost
     m = problem.horizon
     states = np.empty((m + 1, model.n))
     resids = np.empty((m, model.p))
-    x = d.chi0.copy()
+    x = chi0.copy()
     states[0] = x
+    total = float(cost.gamma(chi0, problem.prior))
     for i in range(m):
         resids[i] = problem.measurements[i] - model.h(x)
-        x = model.f(x) + d.omegas[i]
+        total += float(cost.stage(omegas[i], resids[i]))
+        x = model.f(x) + omegas[i]
         states[i + 1] = x
-    return states, resids
-
-
-def _cost_generic(problem: HorizonProblem, d, states, resids) -> float:
-    cost = problem.cost
-    total = float(cost.gamma(d.chi0, problem.prior))
-    for i in range(problem.horizon):
-        total += float(cost.stage(d.omegas[i], resids[i]))
-    return total
+    return WindowRollout(states=states, residuals=resids, cost=total)
 
 
 def rollout(problem: HorizonProblem, d: DecisionVector) -> WindowRollout:
     """Single-shooting forward pass with the eliminated residuals and cost."""
     _check_dims(problem, d)
-    kernels = accel.window_kernels(problem.model) if problem.cost.quad else None
-    if kernels is not None:
-        q = problem.cost.quad
-        states, resids = kernels.rollout(d.chi0, d.omegas, problem.measurements)
-        value = float(
-            kernels.cost(
-                d.chi0, d.omegas, problem.measurements, problem.prior,
-                q.prior, q.disturbance, q.noise,
-            )
-        )
-    else:
-        states, resids = _rollout_generic(problem, d)
-        value = _cost_generic(problem, d, states, resids)
-    if not (np.all(np.isfinite(states)) and np.isfinite(value)):
+    ro = _forward_pass(problem, d.chi0, d.omegas)
+    if not (np.all(np.isfinite(ro.states)) and np.isfinite(ro.cost)):
         raise NumericsError("window rollout produced non-finite values")
-    return WindowRollout(states=states, residuals=resids, cost=value)
+    return ro
 
 
 def eval_cost(problem: HorizonProblem, d: DecisionVector) -> float:
     """Prior term plus the stage-cost sum over the window."""
     _check_dims(problem, d)
-    kernels = accel.window_kernels(problem.model) if problem.cost.quad else None
-    if kernels is not None:
-        q = problem.cost.quad
-        value = float(
-            kernels.cost(
-                d.chi0, d.omegas, problem.measurements, problem.prior,
-                q.prior, q.disturbance, q.noise,
-            )
-        )
-    else:
-        states, resids = _rollout_generic(problem, d)
-        value = _cost_generic(problem, d, states, resids)
+    value = _forward_pass(problem, d.chi0, d.omegas).cost
     if not np.isfinite(value):
         raise NumericsError("window cost is non-finite")
     return value
@@ -306,29 +280,32 @@ def advance_window(
     )
 
 
-def check_feasible(
-    problem: HorizonProblem, d: DecisionVector, tol: float = FEASIBILITY_TOL
+def _feasibility(
+    problem: HorizonProblem, omegas, ro: WindowRollout, tol: float = FEASIBILITY_TOL
 ) -> FeasibilityReport:
-    """Set membership of all window states, disturbances and residuals."""
-    _check_dims(problem, d)
-    ro = rollout(problem, d)
+    """Set membership of a forward pass's states and residuals and of the
+    disturbances that produced it."""
     model = problem.model
-    violations: list[tuple[int, str, float]] = []
-    for i in range(problem.horizon + 1):
-        amount = model.state_set.violation(ro.states[i])
-        if amount > tol:
-            violations.append((i, "state", amount))
+    state = model.state_set.row_violations(ro.states)
+    disturbance = model.disturbance_set.row_violations(omegas)
+    residual = model.noise_set.row_violations(ro.residuals)
+    violations = [(i, "state", float(a)) for i, a in enumerate(state) if a > tol]
     for i in range(problem.horizon):
-        amount = model.disturbance_set.violation(d.omegas[i])
-        if amount > tol:
-            violations.append((i, "disturbance", amount))
-        amount = model.noise_set.violation(ro.residuals[i])
-        if amount > tol:
-            violations.append((i, "residual", amount))
+        if disturbance[i] > tol:
+            violations.append((i, "disturbance", float(disturbance[i])))
+        if residual[i] > tol:
+            violations.append((i, "residual", float(residual[i])))
     worst = max((v[2] for v in violations), default=0.0)
     return FeasibilityReport(
         feasible=not violations, max_violation=worst, violations=tuple(violations)
     )
+
+
+def check_feasible(
+    problem: HorizonProblem, d: DecisionVector, tol: float = FEASIBILITY_TOL
+) -> FeasibilityReport:
+    """Set membership of all window states, disturbances and residuals."""
+    return _feasibility(problem, d.omegas, rollout(problem, d), tol)
 
 
 def snapshot_json(problem: HorizonProblem, d: DecisionVector | None = None) -> str:

@@ -7,14 +7,12 @@ estimates, its states as initial-state estimates.
 
 from __future__ import annotations
 
-import functools
 import warnings
 from dataclasses import dataclass
 from typing import Callable, Sequence
 
 import numpy as np
 
-from . import accel
 from .dynamics import DEFAULT_DT, NumericsError, SystemModel, batch_reactor_model
 
 
@@ -106,25 +104,9 @@ def run_observer(spec: ObserverSpec, z0, outputs) -> ObserverLog:
     return ObserverLog(states=states, fit_errors=fit_errors, corrections=corrections)
 
 
-@functools.lru_cache(maxsize=None)
-def _reactor_correction(dt: float, g1: float, g2: float, jit: bool):
-    if jit and accel.numba_available():
-        deco = accel.njit(cache=True)
-    else:
-        deco = lambda fn: fn  # noqa: E731
-
-    @deco
-    def correction(z, v_z):
-        s = v_z[0]
-        return np.array([dt * g1 * s, dt * g2 * s])
-
-    return correction
-
-
 def batch_reactor_observer(
     gain: Sequence[float] = (0.5, 0.5),
     dt: float = DEFAULT_DT,
-    jit: bool | None = None,
 ) -> ObserverSpec:
     """Luenberger-style reactor observer with constant injection gain.
 
@@ -134,13 +116,15 @@ def batch_reactor_observer(
     The gain bound is exact for this linear correction:
     kappa = dt * |gain|.
     """
-    if jit is None:
-        jit = accel.numba_enabled()
+    dt = float(dt)
     g1, g2 = float(gain[0]), float(gain[1])
-    model = batch_reactor_model(dt=dt, jit=jit)
-    correction = _reactor_correction(float(dt), g1, g2, bool(jit))
-    kappa = float(dt) * float(np.sqrt(g1 * g1 + g2 * g2))
-    return ObserverSpec(model=model, correction=correction, kappa=kappa)
+
+    def correction(z, v_z):
+        s = v_z[0]
+        return np.array([dt * g1 * s, dt * g2 * s])
+
+    kappa = dt * float(np.sqrt(g1 * g1 + g2 * g2))
+    return ObserverSpec(model=batch_reactor_model(dt=dt), correction=correction, kappa=kappa)
 
 
 def write_observer_csv(log: ObserverLog, path) -> None:

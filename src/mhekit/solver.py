@@ -6,13 +6,18 @@ onto their boxes, steps whose residuals or intermediate states leave
 their sets are rejected), so any budget - including zero - returns a
 feasible point whose cost does not exceed the warm start's.
 
-Three direction rules share that machinery: "gn" (default) takes
+Two direction rules share that machinery: "gn" (default) takes
 Gauss-Newton steps built from the forward sensitivities, which reach the
-accuracy of a fully converged solve within a handful of iterations;
-"bb" is projected gradient descent with the spectral (Barzilai-Borwein)
-steplength; "fixed" is plain projected gradient descent. The iterate
-path is deterministic and independent of the budget, so a longer budget
-always extends a shorter one's cost trace.
+accuracy of a fully converged solve within a handful of iterations (for
+non-quadratic costs it falls back to projected steepest descent with a
+unit initial step); "bb" is projected gradient descent with the spectral
+(Barzilai-Borwein) steplength. The iterate path is deterministic and
+independent of the budget, so a longer budget always extends a shorter
+one's cost trace.
+
+Each iterate is evaluated by one forward pass: the accepted line-search
+trial's states and residuals feed the next gradient and Gauss-Newton
+direction, and the returned feasibility residual is read off the same pass.
 """
 
 from __future__ import annotations
@@ -22,15 +27,16 @@ from typing import Sequence
 
 import numpy as np
 
-from . import accel
 from .dynamics import NumericsError
 from .mhe import (
-    FEASIBILITY_TOL,
     DecisionVector,
     HorizonProblem,
+    WindowRollout,
+    _feasibility,
+    _forward_pass,
     check_feasible,
-    eval_cost,
-    _rollout_generic,
+    eval_cost,  # noqa: F401 - perfbench/spans.py traces it under this module
+    rollout,
 )
 
 
@@ -47,7 +53,7 @@ class SolverConfig:
     backtrack_factor: float = 0.5
     max_backtracks: int = 40
     initial_step: float = 1.0
-    step_rule: str = "gn"  # "gn", "bb" (spectral gradient) or "fixed"
+    step_rule: str = "gn"  # "gn" or "bb" (spectral gradient)
     converged_cap: int = 500
 
     def __post_init__(self):
@@ -59,8 +65,8 @@ class SolverConfig:
             raise ValueError("backtrack_factor must be in (0, 1)")
         if not self.convergence_tol > 0:
             raise ValueError("convergence_tol must be positive")
-        if self.step_rule not in ("gn", "bb", "fixed"):
-            raise ValueError("step_rule must be 'gn', 'bb' or 'fixed'")
+        if self.step_rule not in ("gn", "bb"):
+            raise ValueError("step_rule must be 'gn' or 'bb'")
 
 
 @dataclass(frozen=True, eq=False)
@@ -75,23 +81,8 @@ def cost_gradient(
     problem: HorizonProblem, d: DecisionVector
 ) -> tuple[np.ndarray, np.ndarray]:
     """Exact cost gradient w.r.t. (chi0, omegas) by reverse accumulation."""
-    g_chi, g_om, _ = _gradient_with_cost(problem, d.chi0, d.omegas)
-    return g_chi, g_om
-
-
-def _gradient_with_cost(problem: HorizonProblem, chi0, omegas):
-    kernels = accel.window_kernels(problem.model) if problem.cost.quad else None
-    if kernels is not None:
-        q = problem.cost.quad
-        g_chi, g_om, value = kernels.gradient(
-            chi0, omegas, problem.measurements, problem.prior,
-            q.prior, q.disturbance, q.noise,
-        )
-    else:
-        g_chi, g_om, value = _gradient_generic(problem, chi0, omegas)
-    if not (np.all(np.isfinite(g_chi)) and np.all(np.isfinite(g_om))):
-        raise NumericsError("cost gradient is non-finite")
-    return g_chi, g_om, float(value)
+    _require_gradients(problem)
+    return _gradient(problem, d.chi0, d.omegas, rollout(problem, d))
 
 
 def _require_gradients(problem: HorizonProblem) -> None:
@@ -103,32 +94,30 @@ def _require_gradients(problem: HorizonProblem) -> None:
         raise ValueError("cost gradients are required for gradient-based solving")
 
 
-def _gradient_generic(problem: HorizonProblem, chi0, omegas):
+def _gradient(problem: HorizonProblem, chi0, omegas, ro: WindowRollout):
+    """Reverse sweep over the forward pass ``ro`` of (chi0, omegas)."""
     model = problem.model
     cost = problem.cost
-    _require_gradients(problem)
-    d = DecisionVector(chi0, omegas)
-    states, resids = _rollout_generic(problem, d)
-    total = float(cost.gamma(chi0, problem.prior))
-    m = problem.horizon
     lam = np.zeros(model.n)
     g_om = np.empty_like(omegas)
-    for i in range(m):
-        total += float(cost.stage(omegas[i], resids[i]))
-    for i in range(m - 1, -1, -1):
-        g_om[i] = cost.stage_grad_w(omegas[i], resids[i]) + lam
-        g_nu = cost.stage_grad_v(omegas[i], resids[i])
-        lam = model.f_jac(states[i]).T @ lam - model.h_jac(states[i]).T @ g_nu
+    for i in range(problem.horizon - 1, -1, -1):
+        g_om[i] = cost.stage_grad_w(omegas[i], ro.residuals[i]) + lam
+        g_nu = cost.stage_grad_v(omegas[i], ro.residuals[i])
+        lam = model.f_jac(ro.states[i]).T @ lam - model.h_jac(ro.states[i]).T @ g_nu
     g_chi = cost.gamma_grad(chi0, problem.prior) + lam
-    return g_chi, g_om, total
+    if not (np.all(np.isfinite(g_chi)) and np.all(np.isfinite(g_om))):
+        raise NumericsError("cost gradient is non-finite")
+    return g_chi, g_om
 
 
-def _gn_direction_generic(problem: HorizonProblem, chi0, omegas):
-    """Gauss-Newton step for quadratic costs on the numpy path."""
+def _gn_direction(problem: HorizonProblem, ro: WindowRollout, g_chi, g_om):
+    """Gauss-Newton step of a quadratic cost at the forward pass ``ro``.
+
+    The Gauss-Newton Hessian (always positive definite) is built from the
+    forward sensitivities of the shooting recursion.
+    """
     model = problem.model
     q = problem.cost.quad
-    d = DecisionVector(chi0, omegas)
-    states, _ = _rollout_generic(problem, d)
     m = problem.horizon
     n = model.n
     dim = n + m * n
@@ -139,19 +128,18 @@ def _gn_direction_generic(problem: HorizonProblem, chi0, omegas):
     for i in range(m):
         lo = n + i * n
         hess[lo : lo + n, lo : lo + n] += 2.0 * q.disturbance
-        u = model.h_jac(states[i]) @ sens
+        u = model.h_jac(ro.states[i]) @ sens  # d(nu_i)/d(decision) = -u
         hess += 2.0 * (u.T @ (q.noise @ u))
-        sens = model.f_jac(states[i]) @ sens
+        sens = model.f_jac(ro.states[i]) @ sens
         sens[:, lo : lo + n] += np.eye(n)
-    g_chi, g_om, total = _gradient_generic(problem, chi0, omegas)
     grad = np.concatenate([g_chi, g_om.ravel()])
     step = np.linalg.solve(hess, -grad)
-    return step[:n], step[n:].reshape(m, n), g_chi, g_om, total
+    return step[:n], step[n:].reshape(m, n)
 
 
-def _linesearch_generic(
-    problem, chi0, omegas, dir_chi, dir_om, g_chi, g_om, cost_now, step, cfg
-):
+def _linesearch(problem, chi0, omegas, dir_chi, dir_om, g_chi, g_om, cost_now, step, cfg):
+    """First projected trial along the direction that stays feasible and
+    passes the Armijo test, as (chi0, omegas, forward pass), or None."""
     model = problem.model
     x_lo, x_hi = model.state_set.lower, model.state_set.upper
     w_lo, w_hi = model.disturbance_set.lower, model.disturbance_set.upper
@@ -160,25 +148,18 @@ def _linesearch_generic(
         t_chi = np.clip(chi0 + alpha * dir_chi, x_lo, x_hi)
         t_om = np.clip(omegas + alpha * dir_om, w_lo, w_hi)
         descent = float(g_chi @ (t_chi - chi0)) + float(np.sum(g_om * (t_om - omegas)))
-        d = DecisionVector(t_chi, t_om)
         with np.errstate(over="ignore", invalid="ignore"):
             # overlong trial steps may overflow transiently; they are rejected
-            states, resids = _rollout_generic(problem, d)
-        feasible = bool(
-            np.all(np.isfinite(states))
-            and np.all(resids >= model.noise_set.lower - FEASIBILITY_TOL)
-            and np.all(resids <= model.noise_set.upper + FEASIBILITY_TOL)
-            and np.all(states >= x_lo - FEASIBILITY_TOL)
-            and np.all(states <= x_hi + FEASIBILITY_TOL)
-        )
-        if feasible:
-            total = problem.cost.gamma(t_chi, problem.prior)
-            for i in range(problem.horizon):
-                total += problem.cost.stage(t_om[i], resids[i])
-            if np.isfinite(total) and total <= cost_now + cfg.armijo_c * descent:
-                return t_chi, t_om, float(total), alpha, True
+            ro = _forward_pass(problem, t_chi, t_om)
+        if (
+            np.all(np.isfinite(ro.states))
+            and np.isfinite(ro.cost)
+            and _feasibility(problem, t_om, ro).feasible
+            and ro.cost <= cost_now + cfg.armijo_c * descent
+        ):
+            return t_chi, t_om, ro
         alpha *= cfg.backtrack_factor
-    return chi0.copy(), omegas.copy(), cost_now, 0.0, False
+    return None
 
 
 def _projected_gradient_norm(problem, chi0, omegas, g_chi, g_om) -> float:
@@ -199,57 +180,49 @@ def _solve_core(
     limit: int,
     checkpoints: Sequence[int] = (),
 ):
-    """Shared iteration loop; snapshots the iterate at the given budgets."""
-    report = check_feasible(problem, candidate)
-    if not report.feasible:
+    """Shared iteration loop; snapshots the iterate at the given budgets.
+
+    Returns the entry feasibility report of the candidate, the snapshots by
+    budget and the final state; a state is (chi0, omegas, iterations, cost
+    trace, converged, forward pass of the iterate).
+    """
+    entry = check_feasible(problem, candidate)
+    if not entry.feasible:
         raise InfeasibleCandidateError(
-            f"candidate violates the window constraints by {report.max_violation:.3e}"
+            f"candidate violates the window constraints by {entry.max_violation:.3e}"
         )
-    kernels = accel.window_kernels(problem.model) if problem.cost.quad else None
-    q = problem.cost.quad
-    model = problem.model
-    use_gn = cfg.step_rule == "gn" and q is not None
-    if use_gn and kernels is None:
+    if limit > 0:
         _require_gradients(problem)
+    use_gn = cfg.step_rule == "gn" and problem.cost.quad is not None
 
     chi = candidate.chi0.copy()
     om = candidate.omegas.copy()
-    cost_now = eval_cost(problem, candidate)
-    trace = [cost_now]
+    ro = rollout(problem, candidate)
+    trace = [ro.cost]
     converged = False
     it = 0
 
     snaps: dict[int, tuple] = {}
 
     def snap(budget: int):
-        snaps[budget] = (chi.copy(), om.copy(), it, list(trace), converged)
+        snaps[budget] = (chi.copy(), om.copy(), it, list(trace), converged, ro)
 
     pending = sorted(set(int(b) for b in checkpoints))
     for b in [b for b in pending if b <= 0]:
         snap(b)
     pending = [b for b in pending if b > 0]
 
-    def evaluate(c, o):
-        """Direction (gn or steepest descent), gradient and cost at (c, o)."""
+    def evaluate(c, o, fwd):
+        """Direction (gn or steepest descent) and gradient at (c, o)."""
+        g_chi, g_om = _gradient(problem, c, o, fwd)
         if use_gn:
-            if kernels is not None:
-                d_chi, d_om, g_chi, g_om, value = kernels.gn_direction(
-                    c, o, problem.measurements, problem.prior,
-                    q.prior, q.disturbance, q.noise,
-                )
-            else:
-                d_chi, d_om, g_chi, g_om, value = _gn_direction_generic(problem, c, o)
-            if not (np.all(np.isfinite(d_chi)) and np.all(np.isfinite(d_om))):
-                d_chi, d_om = -g_chi, -g_om
-        else:
-            g_chi, g_om, value = _gradient_with_cost(problem, c, o)
-            d_chi, d_om = -g_chi, -g_om
-        if not (np.all(np.isfinite(g_chi)) and np.all(np.isfinite(g_om))):
-            raise NumericsError("cost gradient is non-finite")
-        return d_chi, d_om, g_chi, g_om, float(value)
+            d_chi, d_om = _gn_direction(problem, fwd, g_chi, g_om)
+            if np.all(np.isfinite(d_chi)) and np.all(np.isfinite(d_om)):
+                return d_chi, d_om, g_chi, g_om
+        return -g_chi, -g_om, g_chi, g_om
 
     if limit > 0:
-        dir_chi, dir_om, g_chi, g_om, _ = evaluate(chi, om)
+        dir_chi, dir_om, g_chi, g_om = evaluate(chi, om, ro)
         prev_step = None  # (s_chi, s_om, y_chi, y_om) for the spectral rule
         while it < limit:
             pg = _projected_gradient_norm(problem, chi, om, g_chi, g_om)
@@ -266,31 +239,19 @@ def _solve_core(
                     alpha0 = cfg.initial_step
             else:
                 alpha0 = cfg.initial_step
-            if kernels is not None:
-                n_chi, n_om, n_cost, _, ok = kernels.linesearch(
-                    chi, om, problem.measurements, problem.prior,
-                    q.prior, q.disturbance, q.noise,
-                    dir_chi, dir_om, g_chi, g_om, cost_now, alpha0,
-                    cfg.backtrack_factor, cfg.armijo_c, cfg.max_backtracks,
-                    model.state_set.lower, model.state_set.upper,
-                    model.disturbance_set.lower, model.disturbance_set.upper,
-                    model.noise_set.lower, model.noise_set.upper,
-                    FEASIBILITY_TOL,
-                )
-            else:
-                n_chi, n_om, n_cost, _, ok = _linesearch_generic(
-                    problem, chi, om, dir_chi, dir_om, g_chi, g_om,
-                    cost_now, alpha0, cfg,
-                )
-            if not ok:
+            accepted = _linesearch(
+                problem, chi, om, dir_chi, dir_om, g_chi, g_om, ro.cost, alpha0, cfg
+            )
+            if accepted is None:
                 break
-            n_dir_chi, n_dir_om, ng_chi, ng_om, _ = evaluate(n_chi, n_om)
+            n_chi, n_om, n_ro = accepted
+            n_dir_chi, n_dir_om, ng_chi, ng_om = evaluate(n_chi, n_om, n_ro)
             prev_step = (n_chi - chi, n_om - om, ng_chi - g_chi, ng_om - g_om)
-            decrease = cost_now - float(n_cost)
-            chi, om, cost_now = n_chi, n_om, float(n_cost)
+            decrease = ro.cost - n_ro.cost
+            chi, om, ro = n_chi, n_om, n_ro
             dir_chi, dir_om, g_chi, g_om = n_dir_chi, n_dir_om, ng_chi, ng_om
             it += 1
-            trace.append(cost_now)
+            trace.append(ro.cost)
             if decrease <= cfg.cost_tol:
                 converged = True
             while pending and pending[0] == it:
@@ -301,17 +262,18 @@ def _solve_core(
     for b in pending:
         snap(b)
 
-    final = (chi, om, it, list(trace), converged)
-    return snaps, final
+    final = (chi, om, it, list(trace), converged, ro)
+    return entry, snaps, final
 
 
-def _pack(problem, candidate, state) -> tuple[DecisionVector, IterationReport]:
-    chi, om, it, trace, converged = state
+def _pack(problem, candidate, entry, state) -> tuple[DecisionVector, IterationReport]:
+    """Result of one snapshot; its feasibility residual is read off the
+    iterate's stored forward pass (the entry report at zero iterations)."""
+    chi, om, it, trace, converged, ro = state
     if it == 0:
-        d = candidate
+        d, feas = candidate, entry
     else:
-        d = DecisionVector(chi, om)
-    feas = check_feasible(problem, d)
+        d, feas = DecisionVector(chi, om), _feasibility(problem, om, ro)
     report = IterationReport(
         iterations_used=it,
         cost_trace=np.asarray(trace, dtype=np.float64),
@@ -326,8 +288,8 @@ def solve_suboptimal(
 ) -> tuple[DecisionVector, IterationReport]:
     """At most ``cfg.max_iterations`` descent steps from the warm start;
     with a zero budget the candidate is returned unchanged."""
-    _, final = _solve_core(problem, candidate, cfg, limit=cfg.max_iterations)
-    return _pack(problem, candidate, final)
+    entry, _, final = _solve_core(problem, candidate, cfg, limit=cfg.max_iterations)
+    return _pack(problem, candidate, entry, final)
 
 
 def solve_converged(
@@ -335,8 +297,8 @@ def solve_converged(
 ) -> tuple[DecisionVector, IterationReport]:
     """Iterate until the projected-gradient norm or the per-iteration cost
     decrease falls below tolerance, capped at ``cfg.converged_cap`` steps."""
-    _, final = _solve_core(problem, candidate, cfg, limit=cfg.converged_cap)
-    return _pack(problem, candidate, final)
+    entry, _, final = _solve_core(problem, candidate, cfg, limit=cfg.converged_cap)
+    return _pack(problem, candidate, entry, final)
 
 
 def solve_with_checkpoints(
@@ -353,9 +315,9 @@ def solve_with_checkpoints(
     ``max_iterations=b``. Returns (per-budget dict, converged result or None).
     """
     limit = cfg.converged_cap if converged else max(budgets, default=0)
-    snaps, final = _solve_core(
+    entry, snaps, final = _solve_core(
         problem, candidate, cfg, limit=limit, checkpoints=budgets
     )
-    results = {b: _pack(problem, candidate, snaps[b]) for b in snaps}
-    final_result = _pack(problem, candidate, final) if converged else None
+    results = {b: _pack(problem, candidate, entry, snaps[b]) for b in snaps}
+    final_result = _pack(problem, candidate, entry, final) if converged else None
     return results, final_result

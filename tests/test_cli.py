@@ -106,3 +106,22 @@ class TestErrorPaths:
 
     def test_bad_budget_list_exits_1(self, config_file):
         assert main(["estimate", "--config", config_file, "--budget", "two"]) == 1
+
+    @pytest.mark.parametrize(
+        "doc",
+        [
+            {"x0": [1, 2, 3]},
+            {"dt": -1},
+            {"process_cov": [[1, 2], [2, 1]]},
+            {"observer_gain": [0.5]},
+            {"horizon": 0},
+        ],
+    )
+    def test_invalid_config_is_one_config_error_line(self, tmp_path, capsys, doc):
+        path = tmp_path / "cfg.json"
+        path.write_text(json.dumps(doc))
+        assert main(["simulate", "--config", str(path), "--out", str(tmp_path)]) == 1
+        err = capsys.readouterr().err
+        assert len(err.splitlines()) == 1
+        assert err.startswith("config error:")
+        assert "Traceback" not in err

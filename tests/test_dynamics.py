@@ -128,9 +128,7 @@ class TestSimulate:
     def test_leaving_state_set_warns_not_raises(self, reactor):
         from dataclasses import replace
 
-        bounded = replace(
-            reactor, state_set=BoxSet([0.0, 0.0], [6.0, 6.0]), jit_maps=reactor.jit_maps
-        )
+        bounded = replace(reactor, state_set=BoxSet([0.0, 0.0], [6.0, 6.0]))
         w = np.zeros((3, 2))
         w[0] = [5.0, 5.0]  # kick the state far outside the box
         with pytest.warns(RuntimeWarning, match="left the state set"):

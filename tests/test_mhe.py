@@ -5,7 +5,6 @@ import numpy as np
 import pytest
 
 import mhekit as mk
-from mhekit import accel
 from mhekit.dynamics import BoxSet, NoiseSpec
 
 
@@ -122,23 +121,6 @@ class TestEvalCost:
         p2 = mk.advance_window(reactor, quad_cost, 10, truth.outputs, olog, 20)
         d = mk.build_candidate(olog, p1.start, p1.horizon)
         assert mk.eval_cost(p1, d) == mk.eval_cost(p2, d)
-
-    def test_generic_path_matches_kernels(self, reactor, quad_cost, noisy_setup):
-        truth, olog = noisy_setup
-        problem = mk.advance_window(reactor, quad_cost, 10, truth.outputs, olog, 22)
-        rng = np.random.default_rng(3)
-        d = mk.DecisionVector(rng.uniform(1, 5, 2), rng.normal(0, 0.2, (10, 2)))
-        fast_cost = mk.eval_cost(problem, d)
-        fast_ro = mk.rollout(problem, d)
-        fast_g = mk.cost_gradient(problem, d)
-        with accel.force_generic():
-            slow_cost = mk.eval_cost(problem, d)
-            slow_ro = mk.rollout(problem, d)
-            slow_g = mk.cost_gradient(problem, d)
-        assert abs(fast_cost - slow_cost) < 1e-12
-        np.testing.assert_allclose(fast_ro.states, slow_ro.states, rtol=0, atol=1e-12)
-        np.testing.assert_allclose(fast_g[0], slow_g[0], rtol=1e-12, atol=1e-12)
-        np.testing.assert_allclose(fast_g[1], slow_g[1], rtol=1e-12, atol=1e-12)
 
 
 class TestCandidate:

@@ -145,7 +145,7 @@ class TestSolveSuboptimal:
 
     def test_monotone_trace_all_step_rules(self, window):
         problem, candidate = window
-        for rule in ("gn", "bb", "fixed"):
+        for rule in ("gn", "bb"):
             _, report = mk.solve_suboptimal(
                 problem, candidate,
                 mk.SolverConfig(max_iterations=12, step_rule=rule),
@@ -153,6 +153,23 @@ class TestSolveSuboptimal:
             assert np.all(np.diff(report.cost_trace) <= 0)
             assert report.cost_trace[0] == mk.eval_cost(problem, candidate)
             assert report.feasibility_residual <= 1e-9
+
+    def test_zero_budget_needs_no_jacobians(self, window):
+        problem, candidate = window
+        no_jac = mk.HorizonProblem(
+            model=replace(problem.model, f_jac=None), cost=problem.cost,
+            horizon=problem.horizon, prior=problem.prior,
+            measurements=problem.measurements, start=problem.start,
+        )
+        for rule in ("gn", "bb"):
+            d, report = mk.solve_suboptimal(
+                no_jac, candidate, mk.SolverConfig(max_iterations=0, step_rule=rule)
+            )
+            assert d is candidate and report.iterations_used == 0
+            with pytest.raises(ValueError, match="Jacobians"):
+                mk.solve_suboptimal(
+                    no_jac, candidate, mk.SolverConfig(max_iterations=1, step_rule=rule)
+                )
 
     def test_infeasible_candidate_rejected(self, window):
         problem, candidate = window
@@ -277,14 +294,6 @@ class TestSolveConverged:
             )
             assert conv.cost_trace[-1] <= rep.cost_trace[-1] + 1e-15
 
-    def test_generic_path_converges_to_same_point(self, window):
-        problem, candidate = window
-        d_fast, _ = mk.solve_converged(problem, candidate, mk.SolverConfig())
-        with mk.force_generic():
-            d_slow, _ = mk.solve_converged(problem, candidate, mk.SolverConfig())
-        np.testing.assert_allclose(d_fast.chi0, d_slow.chi0, rtol=0, atol=1e-10)
-        np.testing.assert_allclose(d_fast.omegas, d_slow.omegas, rtol=0, atol=1e-10)
-
 
 class TestCheckpoints:
     def test_checkpoints_match_standalone_runs(self, window):
@@ -313,5 +322,6 @@ class TestSolverConfig:
             mk.SolverConfig(max_iterations=-1)
         with pytest.raises(ValueError):
             mk.SolverConfig(armijo_c=1.5)
-        with pytest.raises(ValueError):
-            mk.SolverConfig(step_rule="newton")
+        for rule in ("newton", "fixed"):
+            with pytest.raises(ValueError):
+                mk.SolverConfig(step_rule=rule)
