@@ -125,12 +125,16 @@ def stage_envelope_scale(cbc: CostBoundConstants, rc: RgesConstants) -> float:
     )
 
 
-def _discounted_sums(rho: float, seq_norms: np.ndarray, t: int, offset: int) -> float:
-    """sum_{tau=1..t} rho^(tau-offset) * |seq(t-tau)| with offset 0 or 1."""
-    if t == 0:
-        return 0.0
-    taus = np.arange(1, t + 1)
-    return float(np.sum(rho ** (taus - offset) * seq_norms[t - taus]))
+def _discounted_history(rho, seq_norms: np.ndarray, steps: int) -> np.ndarray:
+    """s(t) = sum_{tau=1..t} rho^tau * |seq(t-tau)| for t = 0..steps-1.
+
+    Runs the recursion s(t) = rho * (s(t-1) + |seq(t-1)|) from s(0) = 0. An
+    array of decay rates gives one history per rate along a trailing axis.
+    """
+    s = np.zeros((steps,) + np.shape(rho))
+    for t in range(1, steps):
+        s[t] = rho * (s[t - 1] + seq_norms[t - 1])
+    return s
 
 
 def _norm_rows(seq) -> np.ndarray:
@@ -161,8 +165,8 @@ def suboptimal_cost_bound(
     cbar = stage_envelope_scale(cbc, rc)
     r1 = horizon_factor_initial(rc.rho, a, horizon)
     r2 = horizon_factor_disturbance(rc.rho, a, horizon)
-    sum_w = _discounted_sums(rc.rho, w_norms, t, offset=1)
-    sum_v = _discounted_sums(rc.rho, v_norms, t, offset=1)
+    sum_w = _discounted_history(rc.rho, w_norms, t + 1)[t] / rc.rho
+    sum_v = _discounted_history(rc.rho, v_norms, t + 1)[t] / rc.rho
     return (
         rc.c_p**a * cbar * r1 * initial_error**a * rc.rho ** (a * t)
         + rc.c_w**a * cbar * r2 * sum_w**a
@@ -263,13 +267,11 @@ def check_rges_envelope(
     if w_norms.shape[0] < steps - 1 or v_norms.shape[0] < steps - 1:
         raise ValueError("histories shorter than the error trajectory")
     e0 = float(err[0]) if initial_error is None else float(initial_error)
-    bounds = np.empty(steps)
-    for t in range(steps):
-        bounds[t] = (
-            constants.c_p * e0 * constants.rho**t
-            + constants.c_w * _discounted_sums(constants.rho, w_norms, t, offset=0)
-            + constants.c_v * _discounted_sums(constants.rho, v_norms, t, offset=0)
-        )
+    bounds = (
+        constants.c_p * e0 * constants.rho ** np.arange(steps)
+        + constants.c_w * _discounted_history(constants.rho, w_norms, steps)
+        + constants.c_v * _discounted_history(constants.rho, v_norms, steps)
+    )
     margins = bounds - err
     argmin = int(np.argmin(margins))
     return EnvelopeReport(
@@ -301,35 +303,33 @@ def fit_observer_envelope(
     prepared = []
     for traj in trajectories:
         errors, disturbances, noises = traj[:3]
-        err = np.asarray(errors, dtype=np.float64)
-        e0 = float(traj[3]) if len(traj) > 3 else float(err[0])
+        err = np.asarray(errors, dtype=np.float64)[:, None]  # against the grid axis
+        e0 = float(traj[3]) if len(traj) > 3 else float(err[0, 0])
         prepared.append((err, _norm_rows(disturbances), _norm_rows(noises), e0))
 
-    best: tuple[float, float] | None = None  # (gain, rho)
-    any_error = any(np.any(err > 1e-12) for err, _, _, _ in prepared)
-    if not any_error:
+    if not any(np.any(err > 1e-12) for err, _, _, _ in prepared):
         return RgesConstants(1.0, 1.0, 1.0, rho=float(rho_grid[0]), fitted=True)
 
-    for rho in rho_grid:
-        worst = 0.0
-        feasible = True
-        for err, w_norms, v_norms, e0 in prepared:
-            for t in range(err.shape[0]):
-                denom = (
-                    e0 * rho**t
-                    + _discounted_sums(rho, w_norms, t, offset=0)
-                    + _discounted_sums(rho, v_norms, t, offset=0)
-                )
-                if denom <= 0.0:
-                    if err[t] > 1e-12:
-                        feasible = False
-                        break
-                    continue
-                worst = max(worst, float(err[t]) / denom)
-            if not feasible:
-                break
-        if feasible and (best is None or worst < best[0] - 1e-15):
-            best = (worst, float(rho))
+    rhos = np.asarray(rho_grid, dtype=np.float64)
+    worst = np.zeros(rhos.shape)
+    feasible = np.ones(rhos.shape, dtype=bool)
+    for err, w_norms, v_norms, e0 in prepared:
+        steps = err.shape[0]
+        denom = (
+            e0 * rhos ** np.arange(steps)[:, None]
+            + _discounted_history(rhos, w_norms, steps)
+            + _discounted_history(rhos, v_norms, steps)
+        )
+        # a zero denominator admits no gain unless the error is zero too
+        positive = denom > 0.0
+        feasible &= ~np.any(~positive & (err > 1e-12), axis=0)
+        ratios = np.divide(err, denom, out=np.zeros(denom.shape), where=positive)
+        worst = np.maximum(worst, ratios.max(axis=0, initial=0.0))
+
+    best: tuple[float, float] | None = None  # (gain, rho)
+    for rho, gain, ok in zip(rho_grid, worst, feasible):
+        if ok and (best is None or gain < best[0] - 1e-15):
+            best = (float(gain), float(rho))
     if best is None:
         raise ValueError("no decay rate in the grid admits finite envelope gains")
     gain = max(best[0], 1e-12)

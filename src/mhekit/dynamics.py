@@ -272,14 +272,16 @@ def simulate(
     states[0] = x0
     excursions: list[int] = []
     x = x0
-    for k in range(steps):
-        outputs[k] = model.h(x) + v[k]
-        x = model.f(x) + w[k]
-        if not np.all(np.isfinite(x)):
-            raise NumericsError(f"state became non-finite at step {k + 1}")
-        if not model.state_set.contains(x, tol=1e-12):
-            excursions.append(k + 1)
-        states[k + 1] = x
+    # a diverging state may overflow; the finiteness check reports it
+    with np.errstate(over="ignore", invalid="ignore"):
+        for k in range(steps):
+            outputs[k] = model.h(x) + v[k]
+            x = model.f(x) + w[k]
+            if not np.all(np.isfinite(x)):
+                raise NumericsError(f"state became non-finite at step {k + 1}")
+            if not model.state_set.contains(x, tol=1e-12):
+                excursions.append(k + 1)
+            states[k + 1] = x
     if excursions:
         warnings.warn(
             f"state left the state set at {len(excursions)} step(s); "

@@ -74,6 +74,8 @@ class ExperimentConfig:
             raise ConfigError("steps must be nonnegative")
         if any(b < 0 for b in self.budgets):
             raise ConfigError("budgets must be nonnegative")
+        if not self.budgets and not self.include_converged:
+            raise ConfigError("nothing to estimate: no budgets and no converged baseline")
         if not _numeric(self, "dt", ()) > 0:
             raise ConfigError("dt must be positive")
         model = build_model(self)

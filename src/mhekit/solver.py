@@ -34,7 +34,7 @@ from .mhe import (
     WindowRollout,
     _feasibility,
     _forward_pass,
-    check_feasible,
+    check_feasible,  # noqa: F401 - perfbench/spans.py traces it under this module
     eval_cost,  # noqa: F401 - perfbench/spans.py traces it under this module
     rollout,
 )
@@ -186,7 +186,8 @@ def _solve_core(
     budget and the final state; a state is (chi0, omegas, iterations, cost
     trace, converged, forward pass of the iterate).
     """
-    entry = check_feasible(problem, candidate)
+    ro = rollout(problem, candidate)
+    entry = _feasibility(problem, candidate.omegas, ro)
     if not entry.feasible:
         raise InfeasibleCandidateError(
             f"candidate violates the window constraints by {entry.max_violation:.3e}"
@@ -197,7 +198,6 @@ def _solve_core(
 
     chi = candidate.chi0.copy()
     om = candidate.omegas.copy()
-    ro = rollout(problem, candidate)
     trace = [ro.cost]
     converged = False
     it = 0

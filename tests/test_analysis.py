@@ -5,6 +5,7 @@ import pytest
 
 import mhekit as mk
 from mhekit.analysis import (
+    DEFAULT_RHO_GRID,
     CostBoundConstants,
     DetectabilityConstants,
     RgesConstants,
@@ -235,6 +236,102 @@ class TestFitObserverEnvelope:
     def test_requires_a_trajectory(self):
         with pytest.raises(ValueError):
             fit_observer_envelope([])
+
+
+def brute_discounted(rho, norms, t, offset):
+    # sum_{tau=1..t} rho^(tau-offset) * |seq(t-tau)|, summed term by term
+    taus = np.arange(1, t + 1)
+    return float(np.sum(rho ** (taus - offset) * norms[t - taus]))
+
+
+def brute_fit(trajectories, rho_grid):
+    # the envelope fit written out step by step over the brute-force sums
+    best = None
+    for rho in rho_grid:
+        worst, feasible = 0.0, True
+        for errors, w, v, e0 in trajectories:
+            wn, vn = np.linalg.norm(w, axis=1), np.linalg.norm(v, axis=1)
+            for t in range(errors.shape[0]):
+                denom = (
+                    e0 * rho**t
+                    + brute_discounted(rho, wn, t, 0)
+                    + brute_discounted(rho, vn, t, 0)
+                )
+                if denom <= 0.0:
+                    feasible = feasible and errors[t] <= 1e-12
+                    continue
+                worst = max(worst, errors[t] / denom)
+        if feasible and (best is None or worst < best[0] - 1e-15):
+            best = (worst, float(rho))
+    return best
+
+
+def random_history(rng, steps):
+    errors = rng.uniform(0.0, 2.0, steps)
+    w = rng.normal(0.0, 0.1, (steps - 1, 2))
+    v = rng.normal(0.0, 0.2, (steps - 1, 1))
+    return errors, w, v
+
+
+class TestDiscountedSumOracle:
+    """The one-pass discounted recursion against term-by-term sums."""
+
+    @pytest.mark.parametrize("rho", [0.5, 0.8, 0.95, 0.999])
+    def test_envelope_bounds(self, rho):
+        rng = np.random.default_rng(int(rho * 1000))
+        for _ in range(4):
+            steps = int(rng.integers(51, 130))
+            errors, w, v = random_history(rng, steps)
+            consts = RgesConstants(1.7, 0.6, 2.3, rho)
+            report = check_rges_envelope(errors, w, v, consts, initial_error=1.3)
+            wn, vn = np.linalg.norm(w, axis=1), np.linalg.norm(v, axis=1)
+            expect = [
+                1.7 * 1.3 * rho**t
+                + 0.6 * brute_discounted(rho, wn, t, 0)
+                + 2.3 * brute_discounted(rho, vn, t, 0)
+                for t in range(steps)
+            ]
+            np.testing.assert_allclose(report.bounds, expect, rtol=1e-12, atol=0)
+
+    @pytest.mark.parametrize("rho", [0.5, 0.8, 0.95, 0.999])
+    @pytest.mark.parametrize("a", [1.0, 2.0])
+    def test_cost_bound_at_every_step(self, rho, a):
+        rng = np.random.default_rng(int(rho * 1000) + int(a))
+        steps = 80
+        _, w, v = random_history(rng, steps + 1)
+        cbc, rc, horizon = unit_cbc(a), RgesConstants(1.2, 0.9, 1.5, rho), 6
+        cbar = stage_envelope_scale(cbc, rc)
+        r1 = horizon_factor_initial(rho, a, horizon)
+        r2 = horizon_factor_disturbance(rho, a, horizon)
+        wn, vn = np.linalg.norm(w, axis=1), np.linalg.norm(v, axis=1)
+        for t in range(steps + 1):
+            got = suboptimal_cost_bound(cbc, rc, horizon, t, 0.8, w, v)
+            expect = (
+                1.2**a * cbar * r1 * 0.8**a * rho ** (a * t)
+                + 0.9**a * cbar * r2 * brute_discounted(rho, wn, t, 1) ** a
+                + 1.5**a * cbar * r2 * brute_discounted(rho, vn, t, 1) ** a
+            )
+            assert got == pytest.approx(expect, rel=1e-12, abs=0)
+
+    @pytest.mark.parametrize("grid", [(0.5, 0.7, 0.9, 0.999), None])
+    def test_fit_matches_stepwise_fit(self, grid):
+        rng = np.random.default_rng(5)
+        trajectories = []
+        for _ in range(3):
+            steps = int(rng.integers(51, 90))
+            errors, w, v = random_history(rng, steps)
+            errors[: steps // 2] *= 4.0 * 0.9 ** np.arange(steps // 2)
+            trajectories.append((errors, w, v, float(errors[0])))
+        # zero denominators while the initial error and the inputs are zero
+        errors, w, v = random_history(rng, 60)
+        errors[:6], w[:5], v[:5] = 0.0, 0.0, 0.0
+        trajectories.append((errors, w, v, 0.0))
+        rho_grid = DEFAULT_RHO_GRID if grid is None else grid
+        fitted = fit_observer_envelope(trajectories, rho_grid)
+        gain, rho = brute_fit(trajectories, rho_grid)
+        assert fitted.rho == rho
+        assert fitted.c_p == pytest.approx(gain, rel=1e-12, abs=0)
+        assert fitted.c_w == fitted.c_p == fitted.c_v
 
 
 class TestRmse:

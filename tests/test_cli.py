@@ -1,6 +1,9 @@
 import csv
 import json
 import os
+import subprocess
+import sys
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -115,6 +118,7 @@ class TestErrorPaths:
             {"process_cov": [[1, 2], [2, 1]]},
             {"observer_gain": [0.5]},
             {"horizon": 0},
+            {"budgets": [], "include_converged": False},
         ],
     )
     def test_invalid_config_is_one_config_error_line(self, tmp_path, capsys, doc):
@@ -125,3 +129,23 @@ class TestErrorPaths:
         assert len(err.splitlines()) == 1
         assert err.startswith("config error:")
         assert "Traceback" not in err
+
+    @pytest.mark.parametrize(
+        "command", ["simulate", "observe", "estimate", "analyze", "reproduce-figure"]
+    )
+    def test_diverging_run_is_one_numeric_failure_line(self, tmp_path, command):
+        # large noise drives the reactor state to overflow; run in a fresh
+        # interpreter so numpy's floating-point warnings would reach stderr
+        path = tmp_path / "cfg.json"
+        path.write_text(
+            json.dumps({"process_cov": [[1, 0], [0, 1]], "output_cov": [[0.5]]})
+        )
+        env = dict(os.environ, PYTHONPATH=str(Path(mk.__file__).parents[1]))
+        proc = subprocess.run(
+            [sys.executable, "-m", "mhekit.cli", command, "--config", str(path),
+             "--out", str(tmp_path / "out")],
+            capture_output=True, text=True, env=env, timeout=120,
+        )
+        assert proc.returncode == 2
+        assert len(proc.stderr.splitlines()) == 1
+        assert proc.stderr.startswith("numeric failure:")

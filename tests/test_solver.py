@@ -171,6 +171,21 @@ class TestSolveSuboptimal:
                     no_jac, candidate, mk.SolverConfig(max_iterations=1, step_rule=rule)
                 )
 
+    def test_zero_budget_rolls_candidate_once(self, window, monkeypatch):
+        # the entry feasibility report and the warm-start cost share one pass
+        problem, candidate = window
+        calls = []
+        forward = mk.mhe._forward_pass
+
+        def counted(*args):
+            calls.append(1)
+            return forward(*args)
+
+        monkeypatch.setattr(mk.mhe, "_forward_pass", counted)
+        monkeypatch.setattr(mk.solver, "_forward_pass", counted)
+        mk.solve_suboptimal(problem, candidate, mk.SolverConfig(max_iterations=0))
+        assert len(calls) == 1
+
     def test_infeasible_candidate_rejected(self, window):
         problem, candidate = window
         pinned = replace(
