@@ -34,6 +34,7 @@ from .dynamics import (
     simulate,
 )
 from .harness import (
+    AuditError,
     ConfigError,
     ExperimentConfig,
     RunResult,

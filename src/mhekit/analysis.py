@@ -146,32 +146,46 @@ def suboptimal_cost_bound(
     cbc: CostBoundConstants,
     rc: RgesConstants,
     horizon: int,
-    t: int,
+    t: int | np.ndarray,
     initial_error: float,
     disturbances,
     noises,
-) -> float:
+) -> float | np.ndarray:
     """Upper bound on the accepted window cost at time t.
 
     Three terms: the decayed initial estimation error plus the discounted
     disturbance and noise histories, each raised to the cost exponent and
-    amplified by the corresponding geometric window factor.
+    amplified by the corresponding geometric window factor. A scalar ``t``
+    gives a float; a 1-D integer array gives the bound at each of its
+    times from one discounted history up to its largest entry.
     """
+    ts = np.asarray(t)
+    if ts.ndim > 1 or ts.dtype.kind not in "iu":
+        raise ValueError("t must be an integer or a 1-D integer array")
     w_norms = _norm_rows(disturbances)
     v_norms = _norm_rows(noises)
-    if t > w_norms.shape[0] or t > v_norms.shape[0]:
+    t_max = int(ts.max(initial=0))
+    if t_max > w_norms.shape[0] or t_max > v_norms.shape[0]:
         raise ValueError("histories shorter than t")
     a = cbc.a
     cbar = stage_envelope_scale(cbc, rc)
     r1 = horizon_factor_initial(rc.rho, a, horizon)
     r2 = horizon_factor_disturbance(rc.rho, a, horizon)
-    sum_w = _discounted_history(rc.rho, w_norms, t + 1)[t] / rc.rho
-    sum_v = _discounted_history(rc.rho, v_norms, t + 1)[t] / rc.rho
-    return (
-        rc.c_p**a * cbar * r1 * initial_error**a * rc.rho ** (a * t)
-        + rc.c_w**a * cbar * r2 * sum_w**a
-        + rc.c_v**a * cbar * r2 * sum_v**a
+    times = np.atleast_1d(ts).tolist()
+    sums_w = _discounted_history(rc.rho, w_norms, t_max + 1)[times] / rc.rho
+    sums_v = _discounted_history(rc.rho, v_norms, t_max + 1)[times] / rc.rho
+    # powers one time at a time: numpy's vectorised power may differ from
+    # the scalar one in the last bit, so a bound would depend on whether it
+    # was asked for alone or with other times
+    bound = np.array(
+        [
+            rc.c_p**a * cbar * r1 * initial_error**a * rc.rho ** (a * k)
+            + rc.c_w**a * cbar * r2 * sum_w**a
+            + rc.c_v**a * cbar * r2 * sum_v**a
+            for k, sum_w, sum_v in zip(times, sums_w.tolist(), sums_v.tolist())
+        ]
     )
+    return float(bound[0]) if ts.ndim == 0 else bound
 
 
 def envelope_constants(

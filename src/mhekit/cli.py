@@ -1,6 +1,7 @@
 """Command-line pipeline: simulate, observe, estimate, analyze, reproduce-figure.
 
-Exit codes: 0 success, 1 configuration/usage error, 2 numeric failure.
+Exit codes: 0 success, 1 configuration/usage error, 2 numeric failure,
+3 a result failed the cost-decrease or budget-ordering audit.
 """
 
 from __future__ import annotations
@@ -15,6 +16,7 @@ import numpy as np
 
 from .dynamics import NumericsError
 from .harness import (
+    AuditError,
     ConfigError,
     ExperimentConfig,
     analyze_run,
@@ -25,6 +27,7 @@ from .harness import (
 EXIT_OK = 0
 EXIT_CONFIG = 1
 EXIT_NUMERIC = 2
+EXIT_AUDIT = 3
 
 
 class _Parser(argparse.ArgumentParser):
@@ -201,6 +204,9 @@ def main(argv=None) -> int:
     except NumericsError as exc:
         print(f"numeric failure: {exc}", file=sys.stderr)
         return EXIT_NUMERIC
+    except AuditError as exc:
+        print(f"audit failure: {exc}", file=sys.stderr)
+        return EXIT_AUDIT
 
 
 if __name__ == "__main__":

@@ -44,6 +44,10 @@ class ConfigError(ValueError):
     """The experiment configuration is invalid or cannot be loaded."""
 
 
+class AuditError(RuntimeError):
+    """A result failed the cost-decrease or budget-ordering audit."""
+
+
 @dataclass(frozen=True)
 class ExperimentConfig:
     """Full description of one reproducible run (JSON round-trips exactly)."""
@@ -243,7 +247,7 @@ def run_experiment(cfg: ExperimentConfig) -> RunResult:
             j_hat = float(report.cost_trace[-1])
             j_tilde = float(report.cost_trace[0])
             if j_hat > j_tilde:
-                raise RuntimeError(
+                raise AuditError(
                     f"cost-decrease audit failed at t={t}, series {key}: "
                     f"{j_hat} > {j_tilde}"
                 )
@@ -337,7 +341,7 @@ def reproduce_figure(cfg: ExperimentConfig, out_dir=None) -> dict:
         ordered.append("converged")
     for hi, lo in zip(ordered[1:], ordered[:-1]):
         if np.any(result.accepted_costs[hi] > result.accepted_costs[lo]):
-            raise RuntimeError(f"budget ordering audit failed: {hi} vs {lo}")
+            raise AuditError(f"budget ordering audit failed: {hi} vs {lo}")
     summary_path = out / "summary.json"
     summary_path.write_text(json.dumps(summary, indent=2, sort_keys=True))
     paths["summary"] = str(summary_path)
@@ -359,14 +363,9 @@ def analyze_run(result: RunResult) -> dict:
         build_cost(cfg), build_model(cfg), build_observer(cfg)
     )
     initial_error = float(np.linalg.norm(np.asarray(cfg.x0) - np.asarray(cfg.z0)))
-    bounds = np.array(
-        [
-            suboptimal_cost_bound(
-                cbc, fitted, cfg.horizon, t, initial_error,
-                truth.disturbances, truth.noises,
-            )
-            for t in range(cfg.steps + 1)
-        ]
+    bounds = suboptimal_cost_bound(
+        cbc, fitted, cfg.horizon, np.arange(cfg.steps + 1), initial_error,
+        truth.disturbances, truth.noises,
     )
     derived = envelope_constants(cfg.detectability, fitted, cbc, cfg.horizon)
     envelopes = {}

@@ -7,10 +7,12 @@ their sets are rejected), so any budget - including zero - returns a
 feasible point whose cost does not exceed the warm start's.
 
 Two direction rules share that machinery: "gn" (default) takes
-Gauss-Newton steps built from the forward sensitivities, which reach the
-accuracy of a fully converged solve within a handful of iterations (for
-non-quadratic costs it falls back to projected steepest descent with a
-unit initial step); "bb" is projected gradient descent with the spectral
+Gauss-Newton steps, which reach the accuracy of a fully converged solve
+within a handful of iterations. The step solves the window's
+linear-quadratic smoothing problem by a backward Riccati recursion, O(M n^3)
+per iteration; for non-quadratic costs, or when that system is singular or
+its step non-finite, the rule falls back to projected steepest descent with
+a unit initial step. "bb" is projected gradient descent with the spectral
 (Barzilai-Borwein) steplength. The iterate path is deterministic and
 independent of the budget, so a longer budget always extends a shorter
 one's cost trace.
@@ -18,6 +20,8 @@ one's cost trace.
 Each iterate is evaluated by one forward pass: the accepted line-search
 trial's states and residuals feed the next gradient and Gauss-Newton
 direction, and the returned feasibility residual is read off the same pass.
+One sweep of model Jacobians along that pass serves both the gradient and
+the direction, and the iterate a solve stops at is not evaluated at all.
 """
 
 from __future__ import annotations
@@ -82,7 +86,8 @@ def cost_gradient(
 ) -> tuple[np.ndarray, np.ndarray]:
     """Exact cost gradient w.r.t. (chi0, omegas) by reverse accumulation."""
     _require_gradients(problem)
-    return _gradient(problem, d.chi0, d.omegas, rollout(problem, d))
+    ro = rollout(problem, d)
+    return _gradient(problem, d.chi0, d.omegas, ro, *_jacobians(problem, ro))
 
 
 def _require_gradients(problem: HorizonProblem) -> None:
@@ -94,47 +99,89 @@ def _require_gradients(problem: HorizonProblem) -> None:
         raise ValueError("cost gradients are required for gradient-based solving")
 
 
-def _gradient(problem: HorizonProblem, chi0, omegas, ro: WindowRollout):
-    """Reverse sweep over the forward pass ``ro`` of (chi0, omegas)."""
+def _jacobians(problem: HorizonProblem, ro: WindowRollout):
+    """Model Jacobians along the forward pass ``ro``: A (M, n, n) of the
+    transition and C (M, p, n) of the output map at each window state."""
     model = problem.model
+    m = problem.horizon
+    a = np.empty((m, model.n, model.n))
+    c = np.empty((m, model.p, model.n))
+    for i in range(m):
+        a[i] = model.f_jac(ro.states[i])
+        c[i] = model.h_jac(ro.states[i])
+    return a, c
+
+
+def _gradient(problem: HorizonProblem, chi0, omegas, ro: WindowRollout, a, c):
+    """Reverse sweep over the forward pass ``ro`` of (chi0, omegas) with
+    its Jacobians ``a`` and ``c``."""
     cost = problem.cost
-    lam = np.zeros(model.n)
+    lam = np.zeros(problem.model.n)
     g_om = np.empty_like(omegas)
     for i in range(problem.horizon - 1, -1, -1):
         g_om[i] = cost.stage_grad_w(omegas[i], ro.residuals[i]) + lam
         g_nu = cost.stage_grad_v(omegas[i], ro.residuals[i])
-        lam = model.f_jac(ro.states[i]).T @ lam - model.h_jac(ro.states[i]).T @ g_nu
+        lam = a[i].T @ lam - c[i].T @ g_nu
     g_chi = cost.gamma_grad(chi0, problem.prior) + lam
     if not (np.all(np.isfinite(g_chi)) and np.all(np.isfinite(g_om))):
         raise NumericsError("cost gradient is non-finite")
     return g_chi, g_om
 
 
-def _gn_direction(problem: HorizonProblem, ro: WindowRollout, g_chi, g_om):
+def _gn_direction(problem: HorizonProblem, chi0, omegas, ro: WindowRollout, a, c):
     """Gauss-Newton step of a quadratic cost at the forward pass ``ro``.
 
-    The Gauss-Newton Hessian (always positive definite) is built from the
-    forward sensitivities of the shooting recursion.
+    The step minimises the window's linear-quadratic model: dynamics
+    dx(i+1) = A_i dx(i) + dw(i), stage terms Q_i = 2 C_i' V C_i,
+    q_i = -2 C_i' V nu_i, R = 2 W, r_i = 2 W w_i and the prior term
+    2 P (dchi + chi - prior). A backward Riccati sweep from S = 0, s = 0
+    gives the feedback dw(i) = K_i dx(i) + k_i, and a forward sweep from
+    dchi = -(2P + S_0)^-1 (2P (chi - prior) + s_0) applies it: O(M n^3).
+    Raises ``np.linalg.LinAlgError`` when a stage system is singular.
     """
-    model = problem.model
     q = problem.cost.quad
-    m = problem.horizon
-    n = model.n
-    dim = n + m * n
-    hess = np.zeros((dim, dim))
-    hess[:n, :n] = 2.0 * q.prior
-    sens = np.zeros((n, dim))
-    sens[:, :n] = np.eye(n)
+    m, n = problem.horizon, problem.model.n
+    p2, w2 = 2.0 * q.prior, 2.0 * q.disturbance
+    ct_v2 = np.swapaxes(c, 1, 2) @ (2.0 * q.noise)
+    stage_q = ct_v2 @ c  # Q_i
+    stage_qv = -(ct_v2 @ ro.residuals[:, :, None])[:, :, 0]  # q_i
+    # stage i solves (R + S) [K_i k_i] = -[S A_i  r_i + s]
+    rhs = np.empty((m, n, n + 1))
+    rhs[:, :, n] = omegas @ w2.T  # r_i
+    feedback = np.empty((m, n, n + 1))  # [K_i k_i]
+    big_s = np.zeros((n, n))
+    s = np.zeros(n)
+    for i in range(m - 1, -1, -1):
+        sa = big_s @ a[i]
+        rhs[i, :, :n] = sa
+        rhs[i, :, n] += s
+        fb = feedback[i] = -np.linalg.solve(w2 + big_s, rhs[i])
+        big_s = stage_q[i] + a[i].T @ sa + sa.T @ fb[:, :n]
+        s = stage_qv[i] + a[i].T @ s + sa.T @ fb[:, n]
+    d_chi = np.linalg.solve(p2 + big_s, -(p2 @ (chi0 - problem.prior) + s))
+    d_om = np.empty((m, n))
+    dx = d_chi
     for i in range(m):
-        lo = n + i * n
-        hess[lo : lo + n, lo : lo + n] += 2.0 * q.disturbance
-        u = model.h_jac(ro.states[i]) @ sens  # d(nu_i)/d(decision) = -u
-        hess += 2.0 * (u.T @ (q.noise @ u))
-        sens = model.f_jac(ro.states[i]) @ sens
-        sens[:, lo : lo + n] += np.eye(n)
-    grad = np.concatenate([g_chi, g_om.ravel()])
-    step = np.linalg.solve(hess, -grad)
-    return step[:n], step[n:].reshape(m, n)
+        d_om[i] = feedback[i, :, :n] @ dx + feedback[i, :, n]
+        dx = a[i] @ dx + d_om[i]
+    return d_chi, d_om
+
+
+def _evaluate(problem: HorizonProblem, chi0, omegas, ro: WindowRollout, use_gn):
+    """Direction and gradient at an iterate from one Jacobian sweep: the
+    Gauss-Newton step if ``use_gn`` and it is well defined and finite,
+    steepest descent otherwise."""
+    jac = _jacobians(problem, ro)
+    g_chi, g_om = _gradient(problem, chi0, omegas, ro, *jac)
+    if use_gn:
+        try:
+            d_chi, d_om = _gn_direction(problem, chi0, omegas, ro, *jac)
+        except np.linalg.LinAlgError:  # singular Gauss-Newton system
+            pass
+        else:
+            if np.all(np.isfinite(d_chi)) and np.all(np.isfinite(d_om)):
+                return d_chi, d_om, g_chi, g_om
+    return -g_chi, -g_om, g_chi, g_om
 
 
 def _linesearch(problem, chi0, omegas, dir_chi, dir_om, g_chi, g_om, cost_now, step, cfg):
@@ -212,52 +259,41 @@ def _solve_core(
         snap(b)
     pending = [b for b in pending if b > 0]
 
-    def evaluate(c, o, fwd):
-        """Direction (gn or steepest descent) and gradient at (c, o)."""
-        g_chi, g_om = _gradient(problem, c, o, fwd)
-        if use_gn:
-            d_chi, d_om = _gn_direction(problem, fwd, g_chi, g_om)
-            if np.all(np.isfinite(d_chi)) and np.all(np.isfinite(d_om)):
-                return d_chi, d_om, g_chi, g_om
-        return -g_chi, -g_om, g_chi, g_om
-
-    if limit > 0:
-        dir_chi, dir_om, g_chi, g_om = evaluate(chi, om, ro)
-        prev_step = None  # (s_chi, s_om, y_chi, y_om) for the spectral rule
-        while it < limit:
-            pg = _projected_gradient_norm(problem, chi, om, g_chi, g_om)
-            if pg <= cfg.convergence_tol:
-                converged = True
-                break
-            if cfg.step_rule == "bb" and prev_step is not None:
-                s_chi, s_om, y_chi, y_om = prev_step
-                sty = float(s_chi @ y_chi) + float(np.sum(s_om * y_om))
-                sts = float(s_chi @ s_chi) + float(np.sum(s_om * s_om))
-                if sty > 1e-300 and np.isfinite(sty):
-                    alpha0 = min(max(sts / sty, 1e-12), 1e12)
-                else:
-                    alpha0 = cfg.initial_step
-            else:
-                alpha0 = cfg.initial_step
-            accepted = _linesearch(
-                problem, chi, om, dir_chi, dir_om, g_chi, g_om, ro.cost, alpha0, cfg
-            )
-            if accepted is None:
-                break
-            n_chi, n_om, n_ro = accepted
-            n_dir_chi, n_dir_om, ng_chi, ng_om = evaluate(n_chi, n_om, n_ro)
-            prev_step = (n_chi - chi, n_om - om, ng_chi - g_chi, ng_om - g_om)
-            decrease = ro.cost - n_ro.cost
-            chi, om, ro = n_chi, n_om, n_ro
-            dir_chi, dir_om, g_chi, g_om = n_dir_chi, n_dir_om, ng_chi, ng_om
-            it += 1
-            trace.append(ro.cost)
-            if decrease <= cfg.cost_tol:
-                converged = True
-            while pending and pending[0] == it:
-                snap(pending.pop(0))
-            if converged:
-                break
+    # The gradient and direction are evaluated at the top of each iteration,
+    # so none is spent on the iterate the budget or cost_tol stops at.
+    prev = None  # previous (chi0, omegas, gradient) for the spectral rule
+    while it < limit:
+        dir_chi, dir_om, g_chi, g_om = _evaluate(problem, chi, om, ro, use_gn)
+        pg = _projected_gradient_norm(problem, chi, om, g_chi, g_om)
+        if pg <= cfg.convergence_tol:
+            converged = True
+            break
+        alpha0 = cfg.initial_step
+        if cfg.step_rule == "bb" and prev is not None:
+            p_chi, p_om, pg_chi, pg_om = prev
+            s_chi, s_om = chi - p_chi, om - p_om
+            y_chi, y_om = g_chi - pg_chi, g_om - pg_om
+            sty = float(s_chi @ y_chi) + float(np.sum(s_om * y_om))
+            sts = float(s_chi @ s_chi) + float(np.sum(s_om * s_om))
+            if sty > 1e-300 and np.isfinite(sty):
+                alpha0 = min(max(sts / sty, 1e-12), 1e12)
+        accepted = _linesearch(
+            problem, chi, om, dir_chi, dir_om, g_chi, g_om, ro.cost, alpha0, cfg
+        )
+        if accepted is None:
+            break
+        prev = (chi, om, g_chi, g_om)
+        n_chi, n_om, n_ro = accepted
+        decrease = ro.cost - n_ro.cost
+        chi, om, ro = n_chi, n_om, n_ro
+        it += 1
+        trace.append(ro.cost)
+        if decrease <= cfg.cost_tol:
+            converged = True
+        while pending and pending[0] == it:
+            snap(pending.pop(0))
+        if converged:
+            break
 
     for b in pending:
         snap(b)

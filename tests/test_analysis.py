@@ -120,6 +120,41 @@ class TestSuboptimalCostBound:
             )
 
 
+    def test_array_of_times_equals_scalar_calls(self):
+        rng = np.random.default_rng(3)
+        _, w, v = random_history(rng, 121)  # 120 inputs cover t = 0..120
+        cbc, rc = unit_cbc(2.0), RgesConstants(1.3, 0.7, 1.9, 0.93)
+        for times in (np.arange(121), rng.permutation(121)[:40], np.array([0])):
+            got = suboptimal_cost_bound(cbc, rc, 7, times, 0.6, w, v)
+            expect = [
+                suboptimal_cost_bound(cbc, rc, 7, int(t), 0.6, w, v) for t in times
+            ]
+            assert got.shape == times.shape
+            np.testing.assert_array_equal(got, expect)
+        assert type(suboptimal_cost_bound(cbc, rc, 7, 5, 0.6, w, v)) is float
+
+    def test_bad_times_rejected(self):
+        rc = RgesConstants(1.0, 1.0, 1.0, 0.5)
+        w, v = np.zeros((5, 2)), np.zeros((5, 1))
+        for t in (np.arange(3, 7), np.zeros((2, 2), dtype=int), 1.5):
+            with pytest.raises(ValueError):
+                suboptimal_cost_bound(unit_cbc(), rc, 3, t, 1.0, w, v)
+
+    def test_analyze_run_makes_one_call(self, short_run, monkeypatch):
+        calls = []
+        bound = mk.harness.suboptimal_cost_bound
+
+        def counted(*args):
+            calls.append(args[3])
+            return bound(*args)
+
+        monkeypatch.setattr(mk.harness, "suboptimal_cost_bound", counted)
+        report = mk.analyze_run(short_run)
+        assert len(calls) == 1
+        np.testing.assert_array_equal(calls[0], np.arange(short_run.config.steps + 1))
+        assert report["cost_bounds"].shape == (short_run.config.steps + 1,)
+
+
 class TestEnvelopeConstants:
     def test_hand_substituted_spot_values(self):
         # a=1, N=1, eta=rho=0.5, every gain 1: the full-window expressions

@@ -149,3 +149,33 @@ class TestErrorPaths:
         assert proc.returncode == 2
         assert len(proc.stderr.splitlines()) == 1
         assert proc.stderr.startswith("numeric failure:")
+
+    @pytest.mark.parametrize(
+        "command, trace, message",
+        [
+            # every accepted cost above its warm start
+            ("estimate", lambda b: [1.0, 2.0], "cost-decrease audit failed"),
+            # each cost below its warm start, but budget 2 above budget 0
+            ("reproduce-figure", lambda b: [10.0, float(b)],
+             "budget ordering audit failed"),
+        ],
+    )
+    def test_audit_failure_is_one_line_exit_3(
+        self, config_file, tmp_path, capsys, monkeypatch, command, trace, message
+    ):
+        def solve(problem, candidate, cfg, budgets, converged=True):
+            def result(b):
+                report = mk.IterationReport(
+                    iterations_used=1, cost_trace=np.array(trace(b)),
+                    converged=False, feasibility_residual=0.0,
+                )
+                return candidate, report
+
+            return {b: result(b) for b in budgets}, None
+
+        monkeypatch.setattr(mk.harness, "solve_with_checkpoints", solve)
+        rc = main([command, "--config", config_file, "--out", str(tmp_path / "o")])
+        assert rc == 3
+        err = capsys.readouterr().err
+        assert len(err.splitlines()) == 1
+        assert err.startswith(f"audit failure: {message}")

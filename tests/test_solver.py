@@ -5,7 +5,8 @@ import pytest
 
 import mhekit as mk
 from mhekit.dynamics import BoxSet, NoiseSpec, SystemModel
-from mhekit.solver import InfeasibleCandidateError
+from mhekit.mhe import QuadWeights
+from mhekit.solver import InfeasibleCandidateError, _gn_direction, _jacobians
 
 
 @pytest.fixture(scope="module")
@@ -94,6 +95,128 @@ class TestCostGradient:
         expect_om = 2 * np.diag([2.0, 3.0]) @ om[0]
         np.testing.assert_allclose(g_chi, expect_chi, rtol=0, atol=1e-12)
         np.testing.assert_allclose(g_om[0], expect_om, rtol=0, atol=1e-12)
+
+
+def dense_gn_direction(problem, ro, g_chi, g_om):
+    """Gauss-Newton step by the dense normal equations: the (n + M n)-square
+    Hessian built from the forward sensitivities of the shooting recursion,
+    solved against the cost gradient."""
+    model = problem.model
+    q = problem.cost.quad
+    m = problem.horizon
+    n = model.n
+    dim = n + m * n
+    hess = np.zeros((dim, dim))
+    hess[:n, :n] = 2.0 * q.prior
+    sens = np.zeros((n, dim))
+    sens[:, :n] = np.eye(n)
+    for i in range(m):
+        lo = n + i * n
+        hess[lo : lo + n, lo : lo + n] += 2.0 * q.disturbance
+        u = model.h_jac(ro.states[i]) @ sens  # d(nu_i)/d(decision) = -u
+        hess += 2.0 * (u.T @ (q.noise @ u))
+        sens = model.f_jac(ro.states[i]) @ sens
+        sens[:, lo : lo + n] += np.eye(n)
+    grad = np.concatenate([g_chi, g_om.ravel()])
+    step = np.linalg.solve(hess, -grad)
+    return step[:n], step[n:].reshape(m, n)
+
+
+def random_spd(rng, k, scale):
+    a = rng.normal(size=(k, k))
+    return scale * (a @ a.T + 0.5 * k * np.eye(k))
+
+
+class TestGaussNewtonDirection:
+    @pytest.mark.parametrize("horizon", [1, 2, 10, 60, 100])
+    def test_riccati_step_matches_dense_solve(self, reactor, horizon):
+        rng = np.random.default_rng(horizon)
+        bounded = replace(
+            reactor,
+            state_set=BoxSet([0.0, 0.0], [20.0, 20.0]),
+            disturbance_set=BoxSet([-1.0, -1.0], [1.0, 1.0]),
+            noise_set=BoxSet([-3.0], [3.0]),
+        )
+        for _ in range(4):
+            cost = mk.quadratic_cost(
+                random_spd(rng, 2, 50.0), random_spd(rng, 1, 10.0),
+                random_spd(rng, 2, 1.0),
+            )
+            chi0 = rng.uniform(1.0, 5.0, 2)
+            oms = rng.normal(0.0, 0.1, (horizon, 2))
+            x = chi0.copy()
+            ys = np.empty((horizon, 1))
+            for i in range(horizon):
+                ys[i] = bounded.h(x) + rng.normal(0.0, 0.3)
+                x = bounded.f(x) + oms[i]
+            problem = mk.HorizonProblem(
+                model=bounded, cost=cost, horizon=horizon,
+                prior=rng.uniform(1.0, 5.0, 2), measurements=ys,
+            )
+            # a perturbed iterate, away from the data-generating one
+            d = mk.DecisionVector(
+                chi0 + rng.normal(0.0, 0.3, 2), oms + rng.normal(0.0, 0.05, oms.shape)
+            )
+            ro = mk.rollout(problem, d)
+            d_chi, d_om = _gn_direction(
+                problem, d.chi0, d.omegas, ro, *_jacobians(problem, ro)
+            )
+            e_chi, e_om = dense_gn_direction(problem, ro, *mk.cost_gradient(problem, d))
+            got = np.concatenate([d_chi, d_om.ravel()])
+            expect = np.concatenate([e_chi, e_om.ravel()])
+            assert np.linalg.norm(got - expect) <= 1e-10 * np.linalg.norm(expect)
+
+    def test_budget_two_sweeps_jacobians_once_per_step(self, window):
+        problem, candidate = window
+        calls = {"f": 0, "h": 0}
+
+        def counted(name, jac):
+            def wrapped(x):
+                calls[name] += 1
+                return jac(x)
+
+            return wrapped
+
+        model = replace(
+            problem.model,
+            f_jac=counted("f", problem.model.f_jac),
+            h_jac=counted("h", problem.model.h_jac),
+        )
+        counting = mk.HorizonProblem(
+            model=model, cost=problem.cost, horizon=problem.horizon,
+            prior=problem.prior, measurements=problem.measurements,
+            start=problem.start,
+        )
+        for rule in ("gn", "bb"):
+            calls.update(f=0, h=0)
+            _, report = mk.solve_suboptimal(
+                counting, candidate, mk.SolverConfig(max_iterations=2, step_rule=rule)
+            )
+            assert report.iterations_used == 2
+            assert calls == {"f": 2 * problem.horizon, "h": 2 * problem.horizon}
+
+    def test_singular_system_falls_back_to_steepest_descent(self, window):
+        # a zero disturbance weight passes CostSpec validation but leaves
+        # the Gauss-Newton system singular
+        problem, candidate = window
+        v = np.array([[25.0]])
+        cost = replace(
+            problem.cost,
+            stage=lambda om, nu: float(nu @ (v @ nu)),
+            stage_grad_w=lambda om, nu: np.zeros_like(om),
+            quad=QuadWeights(prior=np.eye(2), disturbance=np.zeros((2, 2)), noise=v),
+        )
+        singular = mk.HorizonProblem(
+            model=problem.model, cost=cost, horizon=problem.horizon,
+            prior=problem.prior, measurements=problem.measurements,
+            start=problem.start,
+        )
+        d, report = mk.solve_suboptimal(
+            singular, candidate, mk.SolverConfig(max_iterations=2)
+        )
+        assert report.iterations_used == 2
+        assert mk.check_feasible(singular, d).feasible
+        assert mk.eval_cost(singular, d) <= mk.eval_cost(singular, candidate)
 
 
 class TestSolveSuboptimal:
