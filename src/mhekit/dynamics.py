@@ -7,7 +7,6 @@ y = x1 + x2, discretized by a classical Runge-Kutta step.
 
 from __future__ import annotations
 
-import functools
 import warnings
 from dataclasses import dataclass
 from typing import Callable
@@ -81,7 +80,12 @@ class BoxSet:
 
 @dataclass(frozen=True, eq=False)
 class SystemModel:
-    """Discrete-time plant x+ = f(x) + w, y = h(x) + v with box constraint sets."""
+    """Discrete-time plant x+ = f(x) + w, y = h(x) + v with box constraint sets.
+
+    The maps act on states stacked along leading axes: for x of shape
+    (..., n), ``f`` returns (..., n), ``h`` (..., p), ``f_jac`` (..., n, n)
+    and ``h_jac`` (..., p, n), each row the map of that state alone.
+    """
 
     n: int
     p: int
@@ -160,87 +164,71 @@ def _psd_factor(cov: np.ndarray, name: str = "covariance") -> np.ndarray:
     return vecs * np.sqrt(np.clip(vals, 0.0, None))
 
 
+def _reactor_drift(x):
+    """Reactor kinetics on states stacked along leading axes."""
+    # x.T[i] and the final .T keep a single state as fast as scalar code
+    a = REACTOR_K1 * x.T[0] * x.T[0]
+    b = REACTOR_K2 * x.T[1]
+    return np.array([-2.0 * a + 2.0 * b, a - b]).T
+
+
+def _reactor_drift_jac(x):
+    """Jacobian of ``_reactor_drift``, (..., 2, 2)."""
+    da = 2.0 * REACTOR_K1 * x.T[0]
+    k2 = np.full(np.shape(da), REACTOR_K2)
+    # built transposed, since the final .T also swaps the two matrix axes
+    return np.array([[-2.0 * da, da], [2.0 * k2, -k2]]).T
+
+
+def _rk4(drift, x, dt: float, drift_jac=None):
+    """Classical Runge-Kutta step of ``drift`` from (stacked) ``x``; with
+    ``drift_jac`` also the step's Jacobian, as (step, jacobian)."""
+    k1 = drift(x)
+    x2 = x + 0.5 * dt * k1
+    k2 = drift(x2)
+    x3 = x + 0.5 * dt * k2
+    k3 = drift(x3)
+    x4 = x + dt * k3
+    step = x + (dt / 6.0) * (k1 + 2.0 * k2 + 2.0 * k3 + drift(x4))
+    if drift_jac is None:
+        return step
+    eye = np.eye(np.shape(x)[-1])
+    j1 = drift_jac(x)
+    j2 = drift_jac(x2) @ (eye + 0.5 * dt * j1)
+    j3 = drift_jac(x3) @ (eye + 0.5 * dt * j2)
+    j4 = drift_jac(x4) @ (eye + dt * j3)
+    return step, eye + (dt / 6.0) * (j1 + 2.0 * j2 + 2.0 * j3 + j4)
+
+
 def batch_reactor_drift(x) -> np.ndarray:
     """Continuous-time reactor kinetics for 2A <-> B in concentration units."""
-    x = _as_vector(x, dim=2)
-    drift = _reactor_maps(DEFAULT_DT)[4]
-    return drift(x)
+    return _reactor_drift(_as_vector(x, dim=2))
 
 
 def rk4_step(drift: Callable[[np.ndarray], np.ndarray], x, dt: float) -> np.ndarray:
     """One classical 4th-order Runge-Kutta step of ``drift`` from ``x``."""
     if not dt > 0:
         raise ValueError("dt must be positive")
-    x = np.asarray(x, dtype=np.float64)
-    k1 = drift(x)
-    k2 = drift(x + 0.5 * dt * k1)
-    k3 = drift(x + 0.5 * dt * k2)
-    k4 = drift(x + dt * k3)
-    out = x + (dt / 6.0) * (k1 + 2.0 * k2 + 2.0 * k3 + k4)
+    out = _rk4(drift, np.asarray(x, dtype=np.float64), dt)
     if not np.all(np.isfinite(out)):
         raise NumericsError("rk4_step produced a non-finite state")
     return out
 
 
-@functools.lru_cache(maxsize=None)
-def _reactor_maps(dt: float):
-    """Reactor transition/output maps and exact Jacobians."""
-    k1c = REACTOR_K1
-    k2c = REACTOR_K2
-
-    def drift(x):
-        a = k1c * x[0] * x[0]
-        b = k2c * x[1]
-        return np.array([-2.0 * a + 2.0 * b, a - b])
-
-    def drift_jac(x):
-        da = 2.0 * k1c * x[0]
-        return np.array([[-2.0 * da, 2.0 * k2c], [da, -k2c]])
-
-    def f(x):
-        s1 = drift(x)
-        s2 = drift(x + 0.5 * dt * s1)
-        s3 = drift(x + 0.5 * dt * s2)
-        s4 = drift(x + dt * s3)
-        return x + (dt / 6.0) * (s1 + 2.0 * s2 + 2.0 * s3 + s4)
-
-    def h(x):
-        return np.array([x[0] + x[1]])
-
-    def f_jac(x):
-        eye = np.eye(2)
-        s1 = drift(x)
-        j1 = drift_jac(x)
-        x2 = x + 0.5 * dt * s1
-        s2 = drift(x2)
-        j2 = drift_jac(x2) @ (eye + 0.5 * dt * j1)
-        x3 = x + 0.5 * dt * s2
-        s3 = drift(x3)
-        j3 = drift_jac(x3) @ (eye + 0.5 * dt * j2)
-        x4 = x + dt * s3
-        j4 = drift_jac(x4) @ (eye + dt * j3)
-        return eye + (dt / 6.0) * (j1 + 2.0 * j2 + 2.0 * j3 + j4)
-
-    def h_jac(x):
-        return np.array([[1.0, 1.0]])
-
-    return f, h, f_jac, h_jac, drift
-
-
 def batch_reactor_model(dt: float = DEFAULT_DT) -> SystemModel:
     """The discretized batch reactor (all constraint sets unbounded)."""
-    f, h, f_jac, h_jac, _ = _reactor_maps(float(dt))
+    dt = float(dt)
     return SystemModel(
         n=2,
         p=1,
-        f=f,
-        h=h,
+        f=lambda x: _rk4(_reactor_drift, x, dt),
+        h=lambda x: x[..., :1] + x[..., 1:],
         state_set=BoxSet.unbounded(2),
         disturbance_set=BoxSet.unbounded(2),
         noise_set=BoxSet.unbounded(1),
         lipschitz_h=float(np.sqrt(2.0)),
-        f_jac=f_jac,
-        h_jac=h_jac,
+        f_jac=lambda x: _rk4(_reactor_drift, x, dt, _reactor_drift_jac)[1],
+        h_jac=lambda x: np.ones(np.shape(x)[:-1] + (1, 2)),
         name="batch_reactor",
     )
 
@@ -268,20 +256,16 @@ def simulate(
         raise ValueError("x0 is outside the state set")
 
     states = np.empty((steps + 1, model.n))
-    outputs = np.empty((steps, model.p))
-    states[0] = x0
-    excursions: list[int] = []
-    x = x0
+    states[0] = x = x0
     # a diverging state may overflow; the finiteness check reports it
     with np.errstate(over="ignore", invalid="ignore"):
         for k in range(steps):
-            outputs[k] = model.h(x) + v[k]
-            x = model.f(x) + w[k]
+            x = states[k + 1] = model.f(x) + w[k]
             if not np.all(np.isfinite(x)):
                 raise NumericsError(f"state became non-finite at step {k + 1}")
-            if not model.state_set.contains(x, tol=1e-12):
-                excursions.append(k + 1)
-            states[k + 1] = x
+    outputs = model.h(states[:-1]) + v[:steps]
+    outside = model.state_set.row_violations(states[1:]) > 1e-12
+    excursions = (np.flatnonzero(outside) + 1).tolist()
     if excursions:
         warnings.warn(
             f"state left the state set at {len(excursions)} step(s); "

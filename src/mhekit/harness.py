@@ -37,7 +37,7 @@ from .dynamics import (
 )
 from .mhe import CostSpec, advance_window, build_candidate, quadratic_cost, rollout
 from .observer import ObserverLog, ObserverSpec, batch_reactor_observer, run_observer
-from .solver import SolverConfig, solve_with_checkpoints
+from .solver import SolverConfig, _is_integer, solve_with_checkpoints
 
 
 class ConfigError(ValueError):
@@ -72,12 +72,15 @@ class ExperimentConfig:
     out_dir: str = "out"
 
     def __post_init__(self):
-        if self.horizon < 1:
-            raise ConfigError("horizon must be at least 1")
-        if self.steps < 0:
-            raise ConfigError("steps must be nonnegative")
-        if any(b < 0 for b in self.budgets):
-            raise ConfigError("budgets must be nonnegative")
+        if not _is_integer(self.horizon) or self.horizon < 1:
+            raise ConfigError("horizon must be an integer of at least 1")
+        if not _is_integer(self.steps) or self.steps < 0:
+            raise ConfigError("steps must be a nonnegative integer")
+        if not all(_is_integer(b) and b >= 0 for b in self.budgets):
+            raise ConfigError("budgets must be nonnegative integers")
+        if not _is_integer(self.seed) or self.seed < 0:
+            raise ConfigError("seed must be a nonnegative integer")
+        _numeric(self, "noise_scale", ())
         if not self.budgets and not self.include_converged:
             raise ConfigError("nothing to estimate: no budgets and no converged baseline")
         if not _numeric(self, "dt", ()) > 0:

@@ -45,6 +45,11 @@ class CostSpec:
     residual part (in |nu|). ``quad`` is set for quadratic costs and enables
     the Gauss-Newton direction; the gradient callables are required for
     gradient-based solving of non-quadratic costs.
+
+    The stage maps act on stages stacked along leading axes: for omega of
+    shape (..., n) and nu of shape (..., p), ``stage`` returns (...),
+    ``stage_grad_w`` (..., n) and ``stage_grad_v`` (..., p). ``gamma`` and
+    ``gamma_grad`` take one window's (chi, prior).
     """
 
     gamma: Callable[[np.ndarray, np.ndarray], float]
@@ -100,7 +105,7 @@ def quadratic_cost(
         return float(d @ (p @ d))
 
     def stage(om, nu):
-        return float(om @ (w @ om) + nu @ (v @ nu))
+        return np.sum(om * (om @ w.T), axis=-1) + np.sum(nu * (nu @ v.T), axis=-1)
 
     return CostSpec(
         gamma=gamma,
@@ -113,8 +118,8 @@ def quadratic_cost(
         c_v_lo=v_lo,
         c_v_hi=v_hi,
         gamma_grad=lambda chi, prior: 2.0 * (p @ (chi - prior)),
-        stage_grad_w=lambda om, nu: 2.0 * (w @ om),
-        stage_grad_v=lambda om, nu: 2.0 * (v @ nu),
+        stage_grad_w=lambda om, nu: 2.0 * (om @ w.T),
+        stage_grad_v=lambda om, nu: 2.0 * (nu @ v.T),
         quad=quad,
     )
 
@@ -193,25 +198,32 @@ def _check_dims(problem: HorizonProblem, d: DecisionVector) -> None:
         raise ValueError("decision vector does not match the window dimensions")
 
 
+def _stacked(name: str, value, shape: tuple[int, ...]) -> np.ndarray:
+    """The value of map ``name`` on a window's stacked stages, shape-checked
+    so that a map written for one state fails instead of misaligning."""
+    value = np.asarray(value)
+    if value.shape != shape:
+        raise ValueError(f"{name} returned shape {value.shape} on a stack, expected {shape}")
+    return value
+
+
 def _forward_pass(problem: HorizonProblem, chi0, omegas) -> WindowRollout:
     """States, eliminated residuals and cost of (chi0, omegas), unchecked.
 
     The one window evaluation: the public functions and the solver all use
-    it, and a caller that needs finite values checks them itself.
+    it, and a caller that needs finite values checks them itself. Only ``f``
+    runs stage by stage; ``h`` and ``stage`` see the whole window at once.
     """
     model = problem.model
-    cost = problem.cost
     m = problem.horizon
     states = np.empty((m + 1, model.n))
-    resids = np.empty((m, model.p))
-    x = chi0.copy()
-    states[0] = x
-    total = float(cost.gamma(chi0, problem.prior))
+    states[0] = x = chi0
     for i in range(m):
-        resids[i] = problem.measurements[i] - model.h(x)
-        total += float(cost.stage(omegas[i], resids[i]))
-        x = model.f(x) + omegas[i]
-        states[i + 1] = x
+        x = states[i + 1] = model.f(x) + omegas[i]
+    outputs = _stacked("h", model.h(states[:-1]), (m, model.p))
+    resids = problem.measurements - outputs
+    stage = _stacked("stage", problem.cost.stage(omegas, resids), (m,))
+    total = float(problem.cost.gamma(chi0, problem.prior)) + float(np.sum(stage))
     return WindowRollout(states=states, residuals=resids, cost=total)
 
 

@@ -20,8 +20,8 @@ one's cost trace.
 Each iterate is evaluated by one forward pass: the accepted line-search
 trial's states and residuals feed the next gradient and Gauss-Newton
 direction, and the returned feasibility residual is read off the same pass.
-One sweep of model Jacobians along that pass serves both the gradient and
-the direction, and the iterate a solve stops at is not evaluated at all.
+One call of each model Jacobian on the pass's stacked states serves both the
+gradient and the direction; the iterate a solve stops at is not evaluated.
 """
 
 from __future__ import annotations
@@ -38,6 +38,7 @@ from .mhe import (
     WindowRollout,
     _feasibility,
     _forward_pass,
+    _stacked,
     check_feasible,  # noqa: F401 - perfbench/spans.py traces it under this module
     eval_cost,  # noqa: F401 - perfbench/spans.py traces it under this module
     rollout,
@@ -46,6 +47,10 @@ from .mhe import (
 
 class InfeasibleCandidateError(ValueError):
     """The warm start violates the window constraints."""
+
+
+def _is_integer(value) -> bool:
+    return isinstance(value, (int, np.integer)) and not isinstance(value, bool)
 
 
 @dataclass(frozen=True)
@@ -61,8 +66,14 @@ class SolverConfig:
     converged_cap: int = 500
 
     def __post_init__(self):
-        if self.max_iterations < 0:
-            raise ValueError("max_iterations must be >= 0")
+        for name in ("max_iterations", "max_backtracks", "converged_cap"):
+            value = getattr(self, name)
+            if not _is_integer(value) or value < 0:
+                raise ValueError(f"{name} must be a nonnegative integer")
+        if not 0 < self.initial_step < np.inf:
+            raise ValueError("initial_step must be positive and finite")
+        if not self.cost_tol >= 0:
+            raise ValueError("cost_tol must be >= 0")
         if not 0 < self.armijo_c < 1:
             raise ValueError("armijo_c must be in (0, 1)")
         if not 0 < self.backtrack_factor < 1:
@@ -102,26 +113,23 @@ def _require_gradients(problem: HorizonProblem) -> None:
 def _jacobians(problem: HorizonProblem, ro: WindowRollout):
     """Model Jacobians along the forward pass ``ro``: A (M, n, n) of the
     transition and C (M, p, n) of the output map at each window state."""
-    model = problem.model
-    m = problem.horizon
-    a = np.empty((m, model.n, model.n))
-    c = np.empty((m, model.p, model.n))
-    for i in range(m):
-        a[i] = model.f_jac(ro.states[i])
-        c[i] = model.h_jac(ro.states[i])
+    model, m = problem.model, problem.horizon
+    a = _stacked("f_jac", model.f_jac(ro.states[:-1]), (m, model.n, model.n))
+    c = _stacked("h_jac", model.h_jac(ro.states[:-1]), (m, model.p, model.n))
     return a, c
 
 
 def _gradient(problem: HorizonProblem, chi0, omegas, ro: WindowRollout, a, c):
     """Reverse sweep over the forward pass ``ro`` of (chi0, omegas) with
-    its Jacobians ``a`` and ``c``."""
-    cost = problem.cost
+    its Jacobians ``a`` and ``c``; the stage terms are evaluated up front."""
+    cost, nu = problem.cost, ro.residuals
+    g_om = _stacked("stage_grad_w", cost.stage_grad_w(omegas, nu), omegas.shape).copy()
+    g_nu = _stacked("stage_grad_v", cost.stage_grad_v(omegas, nu), nu.shape)
+    ct_g_nu = (np.swapaxes(c, 1, 2) @ g_nu[:, :, None])[:, :, 0]  # C_i' g_nu_i
     lam = np.zeros(problem.model.n)
-    g_om = np.empty_like(omegas)
     for i in range(problem.horizon - 1, -1, -1):
-        g_om[i] = cost.stage_grad_w(omegas[i], ro.residuals[i]) + lam
-        g_nu = cost.stage_grad_v(omegas[i], ro.residuals[i])
-        lam = a[i].T @ lam - c[i].T @ g_nu
+        g_om[i] += lam
+        lam = a[i].T @ lam - ct_g_nu[i]
     g_chi = cost.gamma_grad(chi0, problem.prior) + lam
     if not (np.all(np.isfinite(g_chi)) and np.all(np.isfinite(g_om))):
         raise NumericsError("cost gradient is non-finite")

@@ -119,6 +119,22 @@ class TestErrorPaths:
             {"observer_gain": [0.5]},
             {"horizon": 0},
             {"budgets": [], "include_converged": False},
+            {"solver": {"initial_step": -1}},
+            {"solver": {"initial_step": 0}},
+            {"solver": {"initial_step": float("inf")}},
+            {"solver": {"max_backtracks": -1}},
+            {"solver": {"converged_cap": -3}},
+            {"solver": {"cost_tol": -1e-10}},
+            {"solver": {"max_iterations": 1.5}},
+            {"solver": {"max_backtracks": 2.5}},
+            {"solver": {"converged_cap": 10.0}},
+            {"seed": -1},
+            {"seed": 1.5},
+            {"steps": 2.5},
+            {"horizon": 2.5},
+            {"budgets": [1.5]},
+            {"noise_scale": "abc"},
+            {"noise_scale": float("nan")},
         ],
     )
     def test_invalid_config_is_one_config_error_line(self, tmp_path, capsys, doc):

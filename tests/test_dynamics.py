@@ -83,6 +83,24 @@ class TestRk4Step:
             mk.rk4_step(lambda x: x * np.inf, np.array([1.0, 1.0]), 0.1)
 
 
+class TestReactorMapsOnStacks:
+    @pytest.mark.parametrize("lead", [(7,), (3, 5)])
+    @pytest.mark.parametrize("name", ["f", "h", "f_jac", "h_jac"])
+    def test_stack_equals_stacked_single_states(self, reactor, name, lead):
+        fn = getattr(reactor, name)
+        xs = np.random.default_rng(4).uniform(0.0, 6.0, lead + (2,))
+        rows = np.array([fn(x) for x in xs.reshape(-1, 2)])
+        assert np.array_equal(fn(xs), rows.reshape(lead + rows.shape[1:]))
+
+    def test_f_jac_matches_central_differences(self, reactor):
+        xs = np.random.default_rng(5).uniform(0.0, 6.0, (20, 2))
+        h = 1e-5
+        steps = [reactor.f(xs + h * e) - reactor.f(xs - h * e) for e in np.eye(2)]
+        fd = np.stack(steps, axis=-1) / (2 * h)
+        jac = reactor.f_jac(xs)
+        assert np.max(np.abs(jac - fd)) <= 1e-7 * np.max(np.abs(jac))
+
+
 class TestSimulate:
     def test_equilibrium_stays_constant(self, reactor):
         w = np.zeros((20, 2))

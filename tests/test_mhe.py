@@ -42,6 +42,24 @@ class TestQuadraticCost:
             hi = quad_cost.c_w_hi * np.linalg.norm(om) ** 2 + quad_cost.c_v_hi * np.linalg.norm(nu) ** 2
             assert lo - 1e-9 <= stage <= hi + 1e-9
 
+    def test_stage_maps_on_stacks_equal_per_row_values(self):
+        rng = np.random.default_rng(2)
+        cost = mk.quadratic_cost(
+            [[3.0, 0.4], [0.4, 2.0]], [[2.0, -0.3], [-0.3, 1.5]], np.eye(2)
+        )
+        om = rng.normal(0, 1, (4, 6, 2))
+        nu = rng.normal(0, 1, (4, 6, 2))
+        for fn in (cost.stage, cost.stage_grad_w, cost.stage_grad_v):
+            rows = np.array([fn(*row) for row in zip(om.reshape(-1, 2), nu.reshape(-1, 2))])
+            stacked = fn(om, nu)
+            assert stacked.shape == om.shape[:2] + rows.shape[1:]
+            # matmul may round a stack and a single row differently (fused
+            # multiply-add), so they agree to a few ulps of the largest entry
+            np.testing.assert_allclose(
+                stacked.reshape(rows.shape), rows, rtol=0,
+                atol=4 * np.finfo(float).eps * np.max(np.abs(rows)),
+            )
+
     def test_gamma_vanishes_at_prior(self, quad_cost):
         x = np.array([1.2, -0.3])
         assert quad_cost.gamma(x, x) == 0.0

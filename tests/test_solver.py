@@ -25,14 +25,14 @@ def linear_model():
     c = np.array([[1.0, 0.5]])
     return SystemModel(
         n=2, p=1,
-        f=lambda x: a @ x,
-        h=lambda x: c @ x,
+        f=lambda x: x @ a.T,
+        h=lambda x: x @ c.T,
         state_set=BoxSet.unbounded(2),
         disturbance_set=BoxSet.unbounded(2),
         noise_set=BoxSet.unbounded(1),
         lipschitz_h=float(np.linalg.norm(c)),
-        f_jac=lambda x: a,
-        h_jac=lambda x: c,
+        f_jac=lambda x: np.broadcast_to(a, np.shape(x)[:-1] + a.shape),
+        h_jac=lambda x: np.broadcast_to(c, np.shape(x)[:-1] + c.shape),
         name="linear",
     )
 
@@ -77,8 +77,8 @@ class TestCostGradient:
             disturbance_set=BoxSet.unbounded(2),
             noise_set=BoxSet.unbounded(2),
             lipschitz_h=1.0,
-            f_jac=lambda x: eye,
-            h_jac=lambda x: eye,
+            f_jac=lambda x: np.broadcast_to(eye, np.shape(x) + (2,)),
+            h_jac=lambda x: np.broadcast_to(eye, np.shape(x) + (2,)),
         )
         cost = mk.quadratic_cost(np.diag([2.0, 3.0]), np.diag([4.0, 5.0]))
         prior = np.array([0.5, -0.5])
@@ -168,11 +168,11 @@ class TestGaussNewtonDirection:
 
     def test_budget_two_sweeps_jacobians_once_per_step(self, window):
         problem, candidate = window
-        calls = {"f": 0, "h": 0}
+        calls = {"f": [], "h": []}
 
         def counted(name, jac):
             def wrapped(x):
-                calls[name] += 1
+                calls[name].append(np.shape(x))
                 return jac(x)
 
             return wrapped
@@ -187,13 +187,44 @@ class TestGaussNewtonDirection:
             prior=problem.prior, measurements=problem.measurements,
             start=problem.start,
         )
+        stack = (problem.horizon, problem.model.n)
         for rule in ("gn", "bb"):
-            calls.update(f=0, h=0)
+            calls.update(f=[], h=[])
             _, report = mk.solve_suboptimal(
                 counting, candidate, mk.SolverConfig(max_iterations=2, step_rule=rule)
             )
             assert report.iterations_used == 2
-            assert calls == {"f": 2 * problem.horizon, "h": 2 * problem.horizon}
+            assert calls == {"f": [stack, stack], "h": [stack, stack]}
+
+    def test_forward_pass_maps_output_and_stage_once(self, window, monkeypatch):
+        problem, candidate = window
+        calls = []
+
+        def counted(name, fn):
+            def wrapped(*args):
+                calls.append((name, np.shape(args[0])))
+                return fn(*args)
+
+            return wrapped
+
+        counting = mk.HorizonProblem(
+            model=replace(problem.model, h=counted("h", problem.model.h)),
+            cost=replace(problem.cost, stage=counted("stage", problem.cost.stage)),
+            horizon=problem.horizon, prior=problem.prior,
+            measurements=problem.measurements, start=problem.start,
+        )
+        passes = []
+        forward = mk.mhe._forward_pass
+
+        def counted_pass(*args):
+            passes.append(1)
+            return forward(*args)
+
+        monkeypatch.setattr(mk.solver, "_forward_pass", counted_pass)
+        monkeypatch.setattr(mk.mhe, "_forward_pass", counted_pass)
+        mk.solve_suboptimal(counting, candidate, mk.SolverConfig(max_iterations=2))
+        stack = (problem.horizon, problem.model.n)
+        assert passes and calls == [("h", stack), ("stage", stack)] * len(passes)
 
     def test_singular_system_falls_back_to_steepest_descent(self, window):
         # a zero disturbance weight passes CostSpec validation but leaves
@@ -202,7 +233,7 @@ class TestGaussNewtonDirection:
         v = np.array([[25.0]])
         cost = replace(
             problem.cost,
-            stage=lambda om, nu: float(nu @ (v @ nu)),
+            stage=lambda om, nu: np.sum(nu * (nu @ v.T), axis=-1),
             stage_grad_w=lambda om, nu: np.zeros_like(om),
             quad=QuadWeights(prior=np.eye(2), disturbance=np.zeros((2, 2)), noise=v),
         )
@@ -217,6 +248,27 @@ class TestGaussNewtonDirection:
         assert report.iterations_used == 2
         assert mk.check_feasible(singular, d).feasible
         assert mk.eval_cost(singular, d) <= mk.eval_cost(singular, candidate)
+
+
+class TestMapShapes:
+    @pytest.mark.parametrize(
+        "name, single_state_map",
+        [
+            # with M = n = 2, c @ x on the stack returns (1, 2) instead of (2, 1)
+            ("h", lambda x: np.array([[1.0, 0.5]]) @ x),
+            ("f_jac", lambda x: np.array([[0.9, 0.1], [0.05, 0.8]])),
+            ("h_jac", lambda x: np.array([[1.0, 0.5]])),
+        ],
+    )
+    def test_map_written_for_one_state_is_named(self, name, single_state_map):
+        model = replace(linear_model(), **{name: single_state_map})
+        problem = mk.HorizonProblem(
+            model=model, cost=mk.quadratic_cost(np.eye(2), [[1.0]]), horizon=2,
+            prior=np.zeros(2), measurements=np.ones((2, 1)),
+        )
+        candidate = mk.DecisionVector(np.ones(2), np.zeros((2, 2)))
+        with pytest.raises(ValueError, match=f"^{name} returned shape"):
+            mk.solve_suboptimal(problem, candidate, mk.SolverConfig(max_iterations=1))
 
 
 class TestSolveSuboptimal:

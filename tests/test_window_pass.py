@@ -23,7 +23,9 @@ def smooth_l1_cost() -> mk.CostSpec:
     v = 25.0
 
     def stage(om, nu):
-        return float(w * (om @ om) + v * np.sum(np.sqrt(1.0 + nu * nu) - 1.0))
+        return w * np.sum(om * om, axis=-1) + v * np.sum(
+            np.sqrt(1.0 + nu * nu) - 1.0, axis=-1
+        )
 
     return mk.CostSpec(
         gamma=lambda chi, prior: float((chi - prior) @ (chi - prior)),
