@@ -67,7 +67,6 @@ from .solver import (
     IterationReport,
     SolverConfig,
     cost_gradient,
-    solve_converged,
     solve_suboptimal,
     solve_with_checkpoints,
 )

@@ -18,6 +18,8 @@ from typing import Sequence
 
 import numpy as np
 
+from .dynamics import NumericsError
+
 DEFAULT_RHO_GRID = tuple(np.round(np.arange(0.50, 1.00, 0.01), 2)) + (0.999,)
 
 
@@ -199,7 +201,8 @@ def envelope_constants(
     Combines the detectability envelope, the observer envelope and the
     warm-start cost bound into (C1, C2, C3, lambda); each gain is the
     maximum of its full-window and growing-window expressions, and the
-    decay is lambda = max(eta, rho).
+    decay is lambda = max(eta, rho). Raises ``NumericsError`` naming the
+    first gain that overflows.
     """
     a = cbc.a
     lam = max(dc.eta, rc.rho)
@@ -230,12 +233,14 @@ def envelope_constants(
     c2_grow = dc.c_w + mix_grow * cap_w
     c3_grow = dc.c_v + mix_grow * cap_v
 
-    return RgesConstants(
-        c_p=max(c1_full, c1_grow),
-        c_w=max(c2_full, c2_grow),
-        c_v=max(c3_full, c3_grow),
-        rho=lam,
-    )
+    gains = {}
+    for name, full, grow in (
+        ("c_p", c1_full, c1_grow), ("c_w", c2_full, c2_grow), ("c_v", c3_full, c3_grow)
+    ):
+        if not (np.isfinite(full) and np.isfinite(grow)):
+            raise NumericsError(f"estimator envelope gain {name} is non-finite")
+        gains[name] = max(full, grow)
+    return RgesConstants(**gains, rho=lam)
 
 
 @dataclass(frozen=True, eq=False)

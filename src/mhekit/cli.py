@@ -20,6 +20,7 @@ from .harness import (
     ConfigError,
     ExperimentConfig,
     analyze_run,
+    read_config_doc,
     reproduce_figure,
     run_experiment,
 )
@@ -48,17 +49,16 @@ def _parse_budgets(text: str) -> tuple[int, ...]:
 
 
 def _load_config(args) -> ExperimentConfig:
-    if args.config is None:
-        cfg = ExperimentConfig()
-    else:
-        cfg = ExperimentConfig.from_json_file(args.config)
+    # overrides join the document before validation, so cross-field checks
+    # (the converged cap against the budgets) see the values that will run
+    doc = {} if args.config is None else read_config_doc(args.config)
     if args.seed is not None:
-        cfg = replace(cfg, seed=args.seed)
+        doc["seed"] = args.seed
     if getattr(args, "budget", None) is not None:
-        cfg = replace(cfg, budgets=_parse_budgets(args.budget))
+        doc["budgets"] = _parse_budgets(args.budget)
     if args.out is not None:
-        cfg = replace(cfg, out_dir=args.out)
-    return cfg
+        doc["out_dir"] = args.out
+    return ExperimentConfig.from_dict(doc)
 
 
 def _out_dir(cfg: ExperimentConfig) -> Path:

@@ -83,6 +83,11 @@ class ExperimentConfig:
         _numeric(self, "noise_scale", ())
         if not self.budgets and not self.include_converged:
             raise ConfigError("nothing to estimate: no budgets and no converged baseline")
+        if self.include_converged and self.solver.max_iterations < max(self.budgets, default=0):
+            raise ConfigError(
+                "solver.max_iterations caps the converged baseline and must be at "
+                "least the largest budget"
+            )
         if not _numeric(self, "dt", ()) > 0:
             raise ConfigError("dt must be positive")
         model = build_model(self)
@@ -110,16 +115,15 @@ class ExperimentConfig:
         unknown = set(doc) - set(cls.__dataclass_fields__)
         if unknown:
             raise ConfigError(f"unknown config keys: {sorted(unknown)}")
-        if "solver" in doc and isinstance(doc["solver"], dict):
-            try:
-                doc["solver"] = SolverConfig(**doc["solver"])
-            except (TypeError, ValueError) as exc:
-                raise ConfigError(f"bad solver config: {exc}") from exc
-        if "detectability" in doc and isinstance(doc["detectability"], dict):
-            try:
-                doc["detectability"] = DetectabilityConstants(**doc["detectability"])
-            except (TypeError, ValueError) as exc:
-                raise ConfigError(f"bad detectability constants: {exc}") from exc
+        for key, build, what in (
+            ("solver", SolverConfig, "bad solver config"),
+            ("detectability", DetectabilityConstants, "bad detectability constants"),
+        ):
+            if key in doc:
+                try:
+                    doc[key] = build(**doc[key])
+                except (TypeError, ValueError) as exc:
+                    raise ConfigError(f"{what}: {exc}") from exc
         try:
             for key in ("budgets", "x0", "z0", "observer_gain"):
                 if key in doc:
@@ -136,14 +140,21 @@ class ExperimentConfig:
 
     @classmethod
     def from_json_file(cls, path) -> "ExperimentConfig":
-        path = Path(path)
-        if not path.exists():
-            raise ConfigError(f"config file not found: {path}")
-        try:
-            doc = json.loads(path.read_text(encoding="utf-8"))
-        except json.JSONDecodeError as exc:
-            raise ConfigError(f"config file {path} is not valid JSON: {exc}") from exc
-        return cls.from_dict(doc)
+        return cls.from_dict(read_config_doc(path))
+
+
+def read_config_doc(path) -> dict:
+    """The JSON document of a config file, not yet validated."""
+    path = Path(path)
+    if not path.exists():
+        raise ConfigError(f"config file not found: {path}")
+    try:
+        doc = json.loads(path.read_text(encoding="utf-8"))
+    except json.JSONDecodeError as exc:
+        raise ConfigError(f"config file {path} is not valid JSON: {exc}") from exc
+    if not isinstance(doc, dict):
+        raise ConfigError(f"config file {path} must hold a JSON object")
+    return doc
 
 
 def _numeric(cfg: ExperimentConfig, name: str, shape: tuple[int, ...]) -> np.ndarray:

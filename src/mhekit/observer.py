@@ -96,11 +96,13 @@ def run_observer(spec: ObserverSpec, z0, outputs) -> ObserverLog:
     corrections = np.empty((K, spec.model.n))
     states[0] = z0
     z = z0
-    for k in range(K):
-        z, v_z, corr = observer_step(spec, z, ys[k])
-        states[k + 1] = z
-        fit_errors[k] = v_z
-        corrections[k] = corr
+    # a diverging observer may overflow; observer_step's finiteness check reports it
+    with np.errstate(over="ignore", invalid="ignore"):
+        for k in range(K):
+            z, v_z, corr = observer_step(spec, z, ys[k])
+            states[k + 1] = z
+            fit_errors[k] = v_z
+            corrections[k] = corr
     return ObserverLog(states=states, fit_errors=fit_errors, corrections=corrections)
 
 

@@ -6,22 +6,24 @@ onto their boxes, steps whose residuals or intermediate states leave
 their sets are rejected), so any budget - including zero - returns a
 feasible point whose cost does not exceed the warm start's.
 
-Two direction rules share that machinery: "gn" (default) takes
-Gauss-Newton steps, which reach the accuracy of a fully converged solve
-within a handful of iterations. The step solves the window's
-linear-quadratic smoothing problem by a backward Riccati recursion, O(M n^3)
-per iteration; for non-quadratic costs, or when that system is singular or
-its step non-finite, the rule falls back to projected steepest descent with
-a unit initial step. "bb" is projected gradient descent with the spectral
-(Barzilai-Borwein) steplength. The iterate path is deterministic and
-independent of the budget, so a longer budget always extends a shorter
-one's cost trace.
+The direction is the Gauss-Newton step when the cost is quadratic, which
+reaches the accuracy of a fully converged solve within a handful of
+iterations. The step solves the window's linear-quadratic smoothing problem
+by a backward Riccati recursion, O(M n^3) per iteration. For non-quadratic
+costs, or when that system is singular or its step non-finite, the direction
+is projected steepest descent, whose first trial step is the spectral
+(Barzilai-Borwein) ratio of the previous step (``initial_step`` when there
+is none). The iterate path is deterministic and independent of the budget:
+one loop runs it to the largest budget asked for, so a longer budget always
+extends a shorter one's cost trace, and the converged baseline is the
+snapshot at ``max_iterations``.
 
 Each iterate is evaluated by one forward pass: the accepted line-search
 trial's states and residuals feed the next gradient and Gauss-Newton
-direction, and the returned feasibility residual is read off the same pass.
-One call of each model Jacobian on the pass's stacked states serves both the
-gradient and the direction; the iterate a solve stops at is not evaluated.
+direction, and the feasibility report that accepted the trial is the one
+returned with it. One call of each model Jacobian on the pass's stacked
+states serves both the gradient and the direction; the iterate a solve
+stops at is not evaluated.
 """
 
 from __future__ import annotations
@@ -62,11 +64,9 @@ class SolverConfig:
     backtrack_factor: float = 0.5
     max_backtracks: int = 40
     initial_step: float = 1.0
-    step_rule: str = "gn"  # "gn" or "bb" (spectral gradient)
-    converged_cap: int = 500
 
     def __post_init__(self):
-        for name in ("max_iterations", "max_backtracks", "converged_cap"):
+        for name in ("max_iterations", "max_backtracks"):
             value = getattr(self, name)
             if not _is_integer(value) or value < 0:
                 raise ValueError(f"{name} must be a nonnegative integer")
@@ -80,8 +80,6 @@ class SolverConfig:
             raise ValueError("backtrack_factor must be in (0, 1)")
         if not self.convergence_tol > 0:
             raise ValueError("convergence_tol must be positive")
-        if self.step_rule not in ("gn", "bb"):
-            raise ValueError("step_rule must be 'gn' or 'bb'")
 
 
 @dataclass(frozen=True, eq=False)
@@ -175,26 +173,28 @@ def _gn_direction(problem: HorizonProblem, chi0, omegas, ro: WindowRollout, a, c
     return d_chi, d_om
 
 
-def _evaluate(problem: HorizonProblem, chi0, omegas, ro: WindowRollout, use_gn):
-    """Direction and gradient at an iterate from one Jacobian sweep: the
-    Gauss-Newton step if ``use_gn`` and it is well defined and finite,
-    steepest descent otherwise."""
+def _evaluate(problem: HorizonProblem, chi0, omegas, ro: WindowRollout):
+    """Direction and gradient at an iterate from one Jacobian sweep, and
+    whether the direction is the Gauss-Newton step: it is when the cost is
+    quadratic and that step is well defined and finite, steepest descent
+    otherwise."""
     jac = _jacobians(problem, ro)
     g_chi, g_om = _gradient(problem, chi0, omegas, ro, *jac)
-    if use_gn:
+    if problem.cost.quad is not None:
         try:
             d_chi, d_om = _gn_direction(problem, chi0, omegas, ro, *jac)
         except np.linalg.LinAlgError:  # singular Gauss-Newton system
             pass
         else:
             if np.all(np.isfinite(d_chi)) and np.all(np.isfinite(d_om)):
-                return d_chi, d_om, g_chi, g_om
-    return -g_chi, -g_om, g_chi, g_om
+                return d_chi, d_om, g_chi, g_om, True
+    return -g_chi, -g_om, g_chi, g_om, False
 
 
 def _linesearch(problem, chi0, omegas, dir_chi, dir_om, g_chi, g_om, cost_now, step, cfg):
     """First projected trial along the direction that stays feasible and
-    passes the Armijo test, as (chi0, omegas, forward pass), or None."""
+    passes the Armijo test, as (decision, forward pass, feasibility report),
+    or None."""
     model = problem.model
     x_lo, x_hi = model.state_set.lower, model.state_set.upper
     w_lo, w_hi = model.disturbance_set.lower, model.disturbance_set.upper
@@ -206,13 +206,10 @@ def _linesearch(problem, chi0, omegas, dir_chi, dir_om, g_chi, g_om, cost_now, s
         with np.errstate(over="ignore", invalid="ignore"):
             # overlong trial steps may overflow transiently; they are rejected
             ro = _forward_pass(problem, t_chi, t_om)
-        if (
-            np.all(np.isfinite(ro.states))
-            and np.isfinite(ro.cost)
-            and _feasibility(problem, t_om, ro).feasible
-            and ro.cost <= cost_now + cfg.armijo_c * descent
-        ):
-            return t_chi, t_om, ro
+        if np.all(np.isfinite(ro.states)) and np.isfinite(ro.cost):
+            feas = _feasibility(problem, t_om, ro)
+            if feas.feasible and ro.cost <= cost_now + cfg.armijo_c * descent:
+                return DecisionVector(t_chi, t_om), ro, feas
         alpha *= cfg.backtrack_factor
     return None
 
@@ -232,94 +229,65 @@ def _solve_core(
     problem: HorizonProblem,
     candidate: DecisionVector,
     cfg: SolverConfig,
-    limit: int,
-    checkpoints: Sequence[int] = (),
-):
-    """Shared iteration loop; snapshots the iterate at the given budgets.
+    budgets: Sequence[int],
+) -> dict[int, tuple[DecisionVector, IterationReport]]:
+    """The one iteration loop: runs the iterate path from the warm start to
+    the largest budget and returns the packed result at each budget.
 
-    Returns the entry feasibility report of the candidate, the snapshots by
-    budget and the final state; a state is (chi0, omegas, iterations, cost
-    trace, converged, forward pass of the iterate).
+    A budget past the point where the path stops (converged, or a failed
+    line search) gets that last iterate.
     """
     ro = rollout(problem, candidate)
-    entry = _feasibility(problem, candidate.omegas, ro)
-    if not entry.feasible:
+    feas = _feasibility(problem, candidate.omegas, ro)
+    if not feas.feasible:
         raise InfeasibleCandidateError(
-            f"candidate violates the window constraints by {entry.max_violation:.3e}"
+            f"candidate violates the window constraints by {feas.max_violation:.3e}"
         )
-    if limit > 0:
+    if max(budgets, default=0) > 0:
         _require_gradients(problem)
-    use_gn = cfg.step_rule == "gn" and problem.cost.quad is not None
 
-    chi = candidate.chi0.copy()
-    om = candidate.omegas.copy()
-    trace = [ro.cost]
-    converged = False
-    it = 0
-
-    snaps: dict[int, tuple] = {}
-
-    def snap(budget: int):
-        snaps[budget] = (chi.copy(), om.copy(), it, list(trace), converged, ro)
-
-    pending = sorted(set(int(b) for b in checkpoints))
-    for b in [b for b in pending if b <= 0]:
-        snap(b)
-    pending = [b for b in pending if b > 0]
-
+    d = candidate
+    trace = [ro.cost]  # the warm-start cost, then one entry per accepted step
+    converged = stopped = False
+    prev = None  # previous (chi0, omegas, gradient) for the spectral step
+    results = {}
     # The gradient and direction are evaluated at the top of each iteration,
-    # so none is spent on the iterate the budget or cost_tol stops at.
-    prev = None  # previous (chi0, omegas, gradient) for the spectral rule
-    while it < limit:
-        dir_chi, dir_om, g_chi, g_om = _evaluate(problem, chi, om, ro, use_gn)
-        pg = _projected_gradient_norm(problem, chi, om, g_chi, g_om)
-        if pg <= cfg.convergence_tol:
-            converged = True
-            break
-        alpha0 = cfg.initial_step
-        if cfg.step_rule == "bb" and prev is not None:
-            p_chi, p_om, pg_chi, pg_om = prev
-            s_chi, s_om = chi - p_chi, om - p_om
-            y_chi, y_om = g_chi - pg_chi, g_om - pg_om
-            sty = float(s_chi @ y_chi) + float(np.sum(s_om * y_om))
-            sts = float(s_chi @ s_chi) + float(np.sum(s_om * s_om))
-            if sty > 1e-300 and np.isfinite(sty):
-                alpha0 = min(max(sts / sty, 1e-12), 1e12)
-        accepted = _linesearch(
-            problem, chi, om, dir_chi, dir_om, g_chi, g_om, ro.cost, alpha0, cfg
-        )
-        if accepted is None:
-            break
-        prev = (chi, om, g_chi, g_om)
-        n_chi, n_om, n_ro = accepted
-        decrease = ro.cost - n_ro.cost
-        chi, om, ro = n_chi, n_om, n_ro
-        it += 1
-        trace.append(ro.cost)
-        if decrease <= cfg.cost_tol:
-            converged = True
-        while pending and pending[0] == it:
-            snap(pending.pop(0))
-        if converged:
-            break
-
-    for b in pending:
-        snap(b)
-
-    final = (chi, om, it, list(trace), converged, ro)
-    return entry, snaps, final
+    # so none is spent on the iterate a budget or cost_tol stops at.
+    for budget in sorted(set(budgets)):
+        while not stopped and len(trace) <= budget:
+            dir_chi, dir_om, g_chi, g_om, gn = _evaluate(problem, d.chi0, d.omegas, ro)
+            pg = _projected_gradient_norm(problem, d.chi0, d.omegas, g_chi, g_om)
+            if pg <= cfg.convergence_tol:
+                converged = stopped = True
+                break
+            alpha0 = cfg.initial_step
+            if not gn and prev is not None:
+                p_chi, p_om, pg_chi, pg_om = prev
+                s_chi, s_om = d.chi0 - p_chi, d.omegas - p_om
+                y_chi, y_om = g_chi - pg_chi, g_om - pg_om
+                sty = float(s_chi @ y_chi) + float(np.sum(s_om * y_om))
+                sts = float(s_chi @ s_chi) + float(np.sum(s_om * s_om))
+                if sty > 1e-300 and np.isfinite(sty):
+                    alpha0 = min(max(sts / sty, 1e-12), 1e12)
+            accepted = _linesearch(
+                problem, d.chi0, d.omegas, dir_chi, dir_om, g_chi, g_om, ro.cost, alpha0, cfg
+            )
+            if accepted is None:
+                stopped = True
+                break
+            prev = (d.chi0, d.omegas, g_chi, g_om)
+            d, ro, feas = accepted
+            converged = stopped = trace[-1] - ro.cost <= cfg.cost_tol
+            trace.append(ro.cost)
+        results[budget] = _pack(d, feas, trace, converged)
+    return results
 
 
-def _pack(problem, candidate, entry, state) -> tuple[DecisionVector, IterationReport]:
-    """Result of one snapshot; its feasibility residual is read off the
-    iterate's stored forward pass (the entry report at zero iterations)."""
-    chi, om, it, trace, converged, ro = state
-    if it == 0:
-        d, feas = candidate, entry
-    else:
-        d, feas = DecisionVector(chi, om), _feasibility(problem, om, ro)
+def _pack(d, feas, trace, converged) -> tuple[DecisionVector, IterationReport]:
+    """Result at an iterate; its feasibility residual comes from the report
+    that accepted the iterate (the entry report for the warm start)."""
     report = IterationReport(
-        iterations_used=it,
+        iterations_used=len(trace) - 1,
         cost_trace=np.asarray(trace, dtype=np.float64),
         converged=converged,
         feasibility_residual=feas.max_violation,
@@ -330,19 +298,11 @@ def _pack(problem, candidate, entry, state) -> tuple[DecisionVector, IterationRe
 def solve_suboptimal(
     problem: HorizonProblem, candidate: DecisionVector, cfg: SolverConfig
 ) -> tuple[DecisionVector, IterationReport]:
-    """At most ``cfg.max_iterations`` descent steps from the warm start;
-    with a zero budget the candidate is returned unchanged."""
-    entry, _, final = _solve_core(problem, candidate, cfg, limit=cfg.max_iterations)
-    return _pack(problem, candidate, entry, final)
-
-
-def solve_converged(
-    problem: HorizonProblem, candidate: DecisionVector, cfg: SolverConfig
-) -> tuple[DecisionVector, IterationReport]:
-    """Iterate until the projected-gradient norm or the per-iteration cost
-    decrease falls below tolerance, capped at ``cfg.converged_cap`` steps."""
-    entry, _, final = _solve_core(problem, candidate, cfg, limit=cfg.converged_cap)
-    return _pack(problem, candidate, entry, final)
+    """At most ``cfg.max_iterations`` descent steps from the warm start,
+    fewer when the projected-gradient norm or the per-iteration cost
+    decrease falls below tolerance; with a zero budget the candidate is
+    returned unchanged."""
+    return _solve_core(problem, candidate, cfg, (cfg.max_iterations,))[cfg.max_iterations]
 
 
 def solve_with_checkpoints(
@@ -356,12 +316,12 @@ def solve_with_checkpoints(
 
     Because the iteration map does not depend on the budget, the snapshot at
     budget b is identical to a standalone ``solve_suboptimal`` run with
-    ``max_iterations=b``. Returns (per-budget dict, converged result or None).
+    ``max_iterations=b``. The converged result is the snapshot at
+    ``cfg.max_iterations``. Returns (per-budget dict, converged result or
+    None). Results at budgets the path stops short of share one decision
+    (the candidate itself at zero steps), so treat them as read-only.
     """
-    limit = cfg.converged_cap if converged else max(budgets, default=0)
-    entry, snaps, final = _solve_core(
-        problem, candidate, cfg, limit=limit, checkpoints=budgets
-    )
-    results = {b: _pack(problem, candidate, entry, snaps[b]) for b in snaps}
-    final_result = _pack(problem, candidate, entry, final) if converged else None
-    return results, final_result
+    stops = (*budgets, cfg.max_iterations) if converged else budgets
+    results = _solve_core(problem, candidate, cfg, stops)
+    per_budget = {b: results[b] for b in sorted(set(budgets))}
+    return per_budget, results[cfg.max_iterations] if converged else None

@@ -244,7 +244,7 @@ def test_criterion_6_oracle_equivalences(reactor, quad_cost):
             [residual(np.eye(dim)[j]) - r0 for j in range(dim)]
         )
         expected, *_ = np.linalg.lstsq(basis, -r0, rcond=None)
-        d, _ = mk.solve_converged(
+        d, _ = mk.solve_suboptimal(
             problem,
             mk.DecisionVector(np.zeros(2), np.zeros((m, 2))),
             mk.SolverConfig(),

@@ -188,6 +188,17 @@ class TestEnvelopeConstants:
             out = envelope_constants(dc, rc, cbc, int(rng.integers(1, 12)))
             assert out.c_p > 0 and out.c_w > 0 and out.c_v > 0
 
+    @pytest.mark.parametrize(
+        "dc, rc, gain",
+        [
+            (DetectabilityConstants(1e308, 1.0, 1.0, 0.5), RgesConstants(1.0, 1.0, 1.0, 0.5), "c_p"),
+            (DetectabilityConstants(1.0, 1.0, 1.0, 0.5), RgesConstants(1.0, 1e308, 1.0, 0.5), "c_w"),
+        ],
+    )
+    def test_overflowing_gain_is_named(self, dc, rc, gain):
+        with pytest.raises(mk.NumericsError, match=f"gain {gain} is non-finite"):
+            envelope_constants(dc, rc, unit_cbc(), 1)
+
     def test_monotone_in_horizon_factors(self):
         # growing the horizon grows both window factors, hence the gains
         dc = DetectabilityConstants(1.0, 1.0, 1.0, 0.5)

@@ -19,6 +19,18 @@ def config_file(tmp_path):
     return str(path)
 
 
+def run_cli_process(tmp_path, command, doc):
+    """Run one CLI command on config ``doc`` in a fresh interpreter."""
+    path = tmp_path / "cfg.json"
+    path.write_text(json.dumps(doc))
+    env = dict(os.environ, PYTHONPATH=str(Path(mk.__file__).parents[1]))
+    return subprocess.run(
+        [sys.executable, "-m", "mhekit.cli", command, "--config", str(path),
+         "--out", str(tmp_path / "out")],
+        capture_output=True, text=True, env=env, timeout=120,
+    )
+
+
 def read_csv(path):
     with open(path) as fh:
         return list(csv.reader(fh))
@@ -71,6 +83,17 @@ class TestHappyPaths:
         assert rows[0] == ["t", "series", "accepted_cost", "candidate_cost", "iterations"]
         # budgets 0 and 2 plus the converged baseline, T+1 rows each
         assert len(rows) == 1 + 3 * 16
+
+    def test_max_iterations_caps_converged_series(self, tmp_path):
+        # the --budget override is validated together with the solver cap
+        path = tmp_path / "cfg.json"
+        path.write_text(json.dumps({"steps": 15, "solver": {"max_iterations": 1}}))
+        out = tmp_path / "tr"
+        assert main(
+            ["estimate", "--config", str(path), "--budget", "0", "--trace", "--out", str(out)]
+        ) == 0
+        rows = read_csv(out / "cost_trace.csv")[1:]
+        assert {int(r[4]) for r in rows if r[1] == "converged"} <= {0, 1}
 
     def test_analyze_writes_reports(self, config_file, tmp_path):
         out = tmp_path / "ana"
@@ -135,6 +158,12 @@ class TestErrorPaths:
             {"budgets": [1.5]},
             {"noise_scale": "abc"},
             {"noise_scale": float("nan")},
+            # the converged baseline is capped below the largest budget (5)
+            {"solver": {"max_iterations": 3}},
+            {"solver": {"step_rule": "gn"}},
+            {"solver": 5},
+            {"detectability": 5},
+            [1, 2],
         ],
     )
     def test_invalid_config_is_one_config_error_line(self, tmp_path, capsys, doc):
@@ -150,21 +179,27 @@ class TestErrorPaths:
         "command", ["simulate", "observe", "estimate", "analyze", "reproduce-figure"]
     )
     def test_diverging_run_is_one_numeric_failure_line(self, tmp_path, command):
-        # large noise drives the reactor state to overflow; run in a fresh
+        # large noise makes the reactor state overflow, a huge observer
+        # initial state or gain the observer state; run in a fresh
         # interpreter so numpy's floating-point warnings would reach stderr
-        path = tmp_path / "cfg.json"
-        path.write_text(
-            json.dumps({"process_cov": [[1, 0], [0, 1]], "output_cov": [[0.5]]})
-        )
-        env = dict(os.environ, PYTHONPATH=str(Path(mk.__file__).parents[1]))
-        proc = subprocess.run(
-            [sys.executable, "-m", "mhekit.cli", command, "--config", str(path),
-             "--out", str(tmp_path / "out")],
-            capture_output=True, text=True, env=env, timeout=120,
-        )
+        for doc in (
+            {"process_cov": [[1, 0], [0, 1]], "output_cov": [[0.5]]},
+            {"z0": [1e200, 0]},
+            {"observer_gain": [1e200, 1e200]},
+        ):
+            proc = run_cli_process(tmp_path, command, doc)
+            assert proc.returncode == 2, doc
+            assert len(proc.stderr.splitlines()) == 1, (doc, proc.stderr)
+            assert proc.stderr.startswith("numeric failure:"), doc
+
+    def test_overflowing_envelope_is_one_numeric_failure_line(self, tmp_path):
+        doc = {"detectability": {"c_p": 1e308, "c_w": 2, "c_v": 2, "eta": 0.95}, "steps": 15}
+        proc = run_cli_process(tmp_path, "analyze", doc)
         assert proc.returncode == 2
-        assert len(proc.stderr.splitlines()) == 1
-        assert proc.stderr.startswith("numeric failure:")
+        assert proc.stderr.splitlines() == [
+            "numeric failure: estimator envelope gain c_p is non-finite"
+        ]
+        assert not (tmp_path / "out" / "analysis.json").exists()
 
     @pytest.mark.parametrize(
         "command, trace, message",

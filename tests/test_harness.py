@@ -1,5 +1,6 @@
 import json
 import os
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -35,6 +36,12 @@ class TestExperimentConfig:
         with pytest.raises(ConfigError, match="unknown model id"):
             mk.harness.build_model(ExperimentConfig(model="cstr"))
 
+    def test_committed_config_is_the_default(self):
+        path = Path(__file__).parents[1] / "configs" / "batch_reactor.json"
+        cfg = ExperimentConfig.from_json_file(path)
+        assert cfg == ExperimentConfig()
+        assert path.read_text(encoding="utf-8") == cfg.to_json() + "\n"
+
     def test_invalid_values_rejected(self):
         with pytest.raises(ConfigError):
             ExperimentConfig(horizon=0)
@@ -51,6 +58,12 @@ class TestRunExperiment:
         result = mk.run_experiment(cfg)
         for key, est in result.estimates.items():
             assert np.max(np.abs(est - result.truth.states)) <= 1e-12, key
+
+    def test_max_iterations_caps_converged_baseline(self):
+        cfg = ExperimentConfig(
+            steps=15, budgets=(0,), solver=mk.SolverConfig(max_iterations=1)
+        )
+        assert mk.run_experiment(cfg).iterations["converged"].max() <= 1
 
     def test_same_seed_reproduces_bitwise(self):
         cfg = ExperimentConfig(seed=23, steps=20)

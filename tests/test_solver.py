@@ -20,6 +20,19 @@ def window(reactor, reactor_observer, quad_cost):
     return problem, candidate
 
 
+def with_cost(window, quadratic):
+    """The window with its quadratic cost, or with the same cost stripped of
+    its quadratic weights, which the solver then treats as non-quadratic."""
+    problem, candidate = window
+    if not quadratic:
+        problem = mk.HorizonProblem(
+            model=problem.model, cost=replace(problem.cost, quad=None),
+            horizon=problem.horizon, prior=problem.prior,
+            measurements=problem.measurements, start=problem.start,
+        )
+    return problem, candidate
+
+
 def linear_model():
     a = np.array([[0.9, 0.1], [0.05, 0.8]])
     c = np.array([[1.0, 0.5]])
@@ -167,7 +180,6 @@ class TestGaussNewtonDirection:
             assert np.linalg.norm(got - expect) <= 1e-10 * np.linalg.norm(expect)
 
     def test_budget_two_sweeps_jacobians_once_per_step(self, window):
-        problem, candidate = window
         calls = {"f": [], "h": []}
 
         def counted(name, jac):
@@ -177,21 +189,23 @@ class TestGaussNewtonDirection:
 
             return wrapped
 
-        model = replace(
-            problem.model,
-            f_jac=counted("f", problem.model.f_jac),
-            h_jac=counted("h", problem.model.h_jac),
-        )
-        counting = mk.HorizonProblem(
-            model=model, cost=problem.cost, horizon=problem.horizon,
-            prior=problem.prior, measurements=problem.measurements,
-            start=problem.start,
-        )
-        stack = (problem.horizon, problem.model.n)
-        for rule in ("gn", "bb"):
+        # Gauss-Newton steps, then spectral steepest-descent steps
+        for quadratic in (True, False):
+            problem, candidate = with_cost(window, quadratic)
+            model = replace(
+                problem.model,
+                f_jac=counted("f", problem.model.f_jac),
+                h_jac=counted("h", problem.model.h_jac),
+            )
+            counting = mk.HorizonProblem(
+                model=model, cost=problem.cost, horizon=problem.horizon,
+                prior=problem.prior, measurements=problem.measurements,
+                start=problem.start,
+            )
+            stack = (problem.horizon, problem.model.n)
             calls.update(f=[], h=[])
             _, report = mk.solve_suboptimal(
-                counting, candidate, mk.SolverConfig(max_iterations=2, step_rule=rule)
+                counting, candidate, mk.SolverConfig(max_iterations=2)
             )
             assert report.iterations_used == 2
             assert calls == {"f": [stack, stack], "h": [stack, stack]}
@@ -319,32 +333,30 @@ class TestSolveSuboptimal:
             previous = report.cost_trace[-1]
 
     def test_monotone_trace_all_step_rules(self, window):
-        problem, candidate = window
-        for rule in ("gn", "bb"):
+        # without quadratic weights the solver takes spectral steepest-descent steps
+        for quadratic in (True, False):
+            problem, candidate = with_cost(window, quadratic)
             _, report = mk.solve_suboptimal(
-                problem, candidate,
-                mk.SolverConfig(max_iterations=12, step_rule=rule),
+                problem, candidate, mk.SolverConfig(max_iterations=12)
             )
             assert np.all(np.diff(report.cost_trace) <= 0)
             assert report.cost_trace[0] == mk.eval_cost(problem, candidate)
             assert report.feasibility_residual <= 1e-9
 
     def test_zero_budget_needs_no_jacobians(self, window):
-        problem, candidate = window
-        no_jac = mk.HorizonProblem(
-            model=replace(problem.model, f_jac=None), cost=problem.cost,
-            horizon=problem.horizon, prior=problem.prior,
-            measurements=problem.measurements, start=problem.start,
-        )
-        for rule in ("gn", "bb"):
+        for quadratic in (True, False):
+            problem, candidate = with_cost(window, quadratic)
+            no_jac = mk.HorizonProblem(
+                model=replace(problem.model, f_jac=None), cost=problem.cost,
+                horizon=problem.horizon, prior=problem.prior,
+                measurements=problem.measurements, start=problem.start,
+            )
             d, report = mk.solve_suboptimal(
-                no_jac, candidate, mk.SolverConfig(max_iterations=0, step_rule=rule)
+                no_jac, candidate, mk.SolverConfig(max_iterations=0)
             )
             assert d is candidate and report.iterations_used == 0
             with pytest.raises(ValueError, match="Jacobians"):
-                mk.solve_suboptimal(
-                    no_jac, candidate, mk.SolverConfig(max_iterations=1, step_rule=rule)
-                )
+                mk.solve_suboptimal(no_jac, candidate, mk.SolverConfig(max_iterations=1))
 
     def test_zero_budget_rolls_candidate_once(self, window, monkeypatch):
         # the entry feasibility report and the warm-start cost share one pass
@@ -459,7 +471,7 @@ class TestSolveConverged:
         )
         expected, *_ = np.linalg.lstsq(basis, -r0, rcond=None)
 
-        d, report = mk.solve_converged(problem, candidate, mk.SolverConfig())
+        d, report = mk.solve_suboptimal(problem, candidate, mk.SolverConfig())
         got = np.concatenate([d.chi0, d.omegas.ravel()])
         assert report.converged
         assert np.max(np.abs(got - expected)) < 1e-6
@@ -471,13 +483,13 @@ class TestSolveConverged:
             prior=log.states[0], measurements=log.outputs,
         )
         candidate = mk.DecisionVector(log.states[0], np.zeros((4, 2)))
-        _, report = mk.solve_converged(problem, candidate, mk.SolverConfig())
+        _, report = mk.solve_suboptimal(problem, candidate, mk.SolverConfig())
         assert report.iterations_used == 0
         assert report.converged
 
     def test_converged_cost_below_every_budget(self, window):
         problem, candidate = window
-        _, conv = mk.solve_converged(problem, candidate, mk.SolverConfig())
+        _, conv = mk.solve_suboptimal(problem, candidate, mk.SolverConfig())
         for budget in (0, 2, 5):
             _, rep = mk.solve_suboptimal(
                 problem, candidate, mk.SolverConfig(max_iterations=budget)
@@ -486,6 +498,44 @@ class TestSolveConverged:
 
 
 class TestCheckpoints:
+    def test_budget_beyond_converged_cap_is_not_cut_short(self, window):
+        problem, candidate = window
+        per_budget, final = mk.solve_with_checkpoints(
+            problem, candidate, mk.SolverConfig(max_iterations=1), budgets=(3,)
+        )
+        for (d_chk, rep_chk), cap in ((per_budget[3], 3), (final, 1)):
+            d_alone, rep_alone = mk.solve_suboptimal(
+                problem, candidate, mk.SolverConfig(max_iterations=cap)
+            )
+            assert rep_chk.iterations_used == rep_alone.iterations_used == cap
+            assert np.array_equal(d_alone.chi0, d_chk.chi0)
+            assert np.array_equal(d_alone.omegas, d_chk.omegas)
+            np.testing.assert_array_equal(rep_alone.cost_trace, rep_chk.cost_trace)
+
+    def test_feasibility_is_checked_once_per_finite_pass(self, window, monkeypatch):
+        # each iterate carries the report that accepted it; packing adds none
+        problem, candidate = window
+        finite_passes, checks = [], []
+        forward, feasibility = mk.mhe._forward_pass, mk.solver._feasibility
+
+        def counted_pass(*args):
+            ro = forward(*args)
+            finite_passes.append(bool(np.all(np.isfinite(ro.states)) and np.isfinite(ro.cost)))
+            return ro
+
+        def counted_feasibility(*args):
+            checks.append(1)
+            return feasibility(*args)
+
+        monkeypatch.setattr(mk.mhe, "_forward_pass", counted_pass)
+        monkeypatch.setattr(mk.solver, "_forward_pass", counted_pass)
+        monkeypatch.setattr(mk.solver, "_feasibility", counted_feasibility)
+        per_budget, final = mk.solve_with_checkpoints(
+            problem, candidate, mk.SolverConfig(), budgets=(0, 2, 5)
+        )
+        assert per_budget[2][1].iterations_used == 2 and final[1].iterations_used >= 5
+        assert len(checks) == sum(finite_passes)
+
     def test_checkpoints_match_standalone_runs(self, window):
         problem, candidate = window
         per_budget, final = mk.solve_with_checkpoints(
@@ -501,7 +551,7 @@ class TestCheckpoints:
             assert rep_alone.iterations_used == rep_chk.iterations_used
             assert rep_alone.converged == rep_chk.converged
             np.testing.assert_array_equal(rep_alone.cost_trace, rep_chk.cost_trace)
-        d_conv, rep_conv = mk.solve_converged(problem, candidate, mk.SolverConfig())
+        d_conv, rep_conv = mk.solve_suboptimal(problem, candidate, mk.SolverConfig())
         assert np.array_equal(final[0].chi0, d_conv.chi0)
         np.testing.assert_array_equal(final[1].cost_trace, rep_conv.cost_trace)
 
@@ -512,6 +562,6 @@ class TestSolverConfig:
             mk.SolverConfig(max_iterations=-1)
         with pytest.raises(ValueError):
             mk.SolverConfig(armijo_c=1.5)
-        for rule in ("newton", "fixed"):
-            with pytest.raises(ValueError):
-                mk.SolverConfig(step_rule=rule)
+        for removed in ("step_rule", "converged_cap"):
+            with pytest.raises(TypeError):
+                mk.SolverConfig(**{removed: None})
