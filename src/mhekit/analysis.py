@@ -18,7 +18,7 @@ from typing import Sequence
 
 import numpy as np
 
-from .dynamics import NumericsError
+from .dynamics import NumericsError, write_csv
 
 DEFAULT_RHO_GRID = tuple(np.round(np.arange(0.50, 1.00, 0.01), 2)) + (0.999,)
 
@@ -258,13 +258,7 @@ class EnvelopeReport:
         return self.min_margin >= 0.0
 
     def to_csv(self, path) -> None:
-        with open(path, "w", encoding="utf-8") as fh:
-            fh.write("t,error,bound,margin\n")
-            for t in range(self.errors.shape[0]):
-                fh.write(
-                    f"{t},{self.errors[t]:.17g},{self.bounds[t]:.17g},"
-                    f"{self.margins[t]:.17g}\n"
-                )
+        write_csv(path, {"error": self.errors, "bound": self.bounds, "margin": self.margins})
 
 
 def check_rges_envelope(

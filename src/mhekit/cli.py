@@ -9,12 +9,11 @@ from __future__ import annotations
 import argparse
 import json
 import sys
-from dataclasses import replace
 from pathlib import Path
 
 import numpy as np
 
-from .dynamics import NumericsError
+from .dynamics import NumericsError, write_csv
 from .harness import (
     AuditError,
     ConfigError,
@@ -23,6 +22,7 @@ from .harness import (
     read_config_doc,
     reproduce_figure,
     run_experiment,
+    simulate_and_observe,
 )
 
 EXIT_OK = 0
@@ -68,19 +68,19 @@ def _out_dir(cfg: ExperimentConfig) -> Path:
 
 
 def _cmd_simulate(cfg: ExperimentConfig) -> int:
-    result = run_experiment(replace(cfg, budgets=(0,), include_converged=False))
+    truth, _, _ = simulate_and_observe(cfg)
     out = _out_dir(cfg)
-    result.truth.to_csv(out / "truth.csv")
+    truth.to_csv(out / "truth.csv")
     print(f"wrote {out / 'truth.csv'} ({cfg.steps} steps, seed {cfg.seed})")
     return EXIT_OK
 
 
 def _cmd_observe(cfg: ExperimentConfig) -> int:
-    result = run_experiment(replace(cfg, budgets=(0,), include_converged=False))
+    truth, olog, _ = simulate_and_observe(cfg)
     out = _out_dir(cfg)
-    result.truth.to_csv(out / "truth.csv")
-    result.observer.to_csv(out / "observer.csv")
-    err = np.linalg.norm(result.truth.states - result.observer.states, axis=1)
+    truth.to_csv(out / "truth.csv")
+    olog.to_csv(out / "observer.csv")
+    err = np.linalg.norm(truth.states - olog.states, axis=1)
     print(f"wrote {out / 'observer.csv'} (final error {err[-1]:.6g})")
     return EXIT_OK
 
@@ -91,11 +91,7 @@ def _cmd_estimate(cfg: ExperimentConfig, trace: bool) -> int:
     result.truth.to_csv(out / "truth.csv")
     result.observer.to_csv(out / "observer.csv")
     for key, est in result.estimates.items():
-        path = out / f"estimate_{key}.csv"
-        with open(path, "w", encoding="utf-8") as fh:
-            fh.write("t," + ",".join(f"xhat{i + 1}" for i in range(est.shape[1])) + "\n")
-            for t in range(est.shape[0]):
-                fh.write(f"{t}," + ",".join(f"{x:.17g}" for x in est[t]) + "\n")
+        write_csv(out / f"estimate_{key}.csv", {"xhat": est})
     if trace:
         with open(out / "cost_trace.csv", "w", encoding="utf-8") as fh:
             fh.write("t,series,accepted_cost,candidate_cost,iterations\n")

@@ -132,7 +132,12 @@ class TrajectoryLog:
         return self.outputs.shape[0]
 
     def to_csv(self, path) -> None:
-        write_trajectory_csv(self, path)
+        """Columns t, x1..xn, y1..yp, w1..wn, v1..vp; the final state's row
+        has no output or noise and reads nan there."""
+        write_csv(
+            path,
+            {"x": self.states, "y": self.outputs, "w": self.disturbances, "v": self.noises},
+        )
 
 
 @dataclass(frozen=True, eq=False)
@@ -315,25 +320,26 @@ def draw_noise(
     return w, v
 
 
-def write_trajectory_csv(log: TrajectoryLog, path) -> None:
-    """CSV with header t,x1..xn,y1..yp,w1..wn,v1..vp (final state row padded with nan)."""
-    n = log.states.shape[1]
-    p = log.outputs.shape[1]
-    header = (
-        ["t"]
-        + [f"x{i + 1}" for i in range(n)]
-        + [f"y{i + 1}" for i in range(p)]
-        + [f"w{i + 1}" for i in range(n)]
-        + [f"v{i + 1}" for i in range(p)]
-    )
+def write_csv(path, columns: dict[str, np.ndarray]) -> None:
+    """CSV with a leading row index ``t`` and the given columns: a 1-d array
+    under its name, a (rows, k) array as name1..namek. Values carry 17
+    significant digits; rows past the end of a shorter array read nan."""
+    header = ["t"]
+    blocks = []
+    for name, values in columns.items():
+        values = np.asarray(values, dtype=np.float64)
+        if values.ndim == 1:
+            header.append(name)
+            values = values[:, None]
+        else:
+            header += [f"{name}{i + 1}" for i in range(values.shape[1])]
+        blocks.append(values)
+    table = np.full((max(b.shape[0] for b in blocks), len(header) - 1), np.nan)
+    col = 0
+    for b in blocks:
+        table[: b.shape[0], col : col + b.shape[1]] = b
+        col += b.shape[1]
     with open(path, "w", encoding="utf-8") as fh:
         fh.write(",".join(header) + "\n")
-        for t in range(log.steps + 1):
-            row = [str(t)] + [f"{x:.17g}" for x in log.states[t]]
-            if t < log.steps:
-                row += [f"{y:.17g}" for y in log.outputs[t]]
-                row += [f"{w:.17g}" for w in log.disturbances[t]]
-                row += [f"{v:.17g}" for v in log.noises[t]]
-            else:
-                row += ["nan"] * (p + n + p)
-            fh.write(",".join(row) + "\n")
+        for t, row in enumerate(table):
+            fh.write(f"{t}," + ",".join(f"{x:.17g}" for x in row) + "\n")

@@ -34,6 +34,7 @@ from .dynamics import (
     batch_reactor_model,
     draw_noise,
     simulate,
+    write_csv,
 )
 from .mhe import CostSpec, advance_window, build_candidate, quadratic_cost, rollout
 from .observer import ObserverLog, ObserverSpec, batch_reactor_observer, run_observer
@@ -219,11 +220,13 @@ def budget_key(budget: int | None) -> str:
     return "converged" if budget is None else f"i{budget}"
 
 
-def run_experiment(cfg: ExperimentConfig) -> RunResult:
-    """Simulate, observe, then estimate for every budget; audit cost decrease."""
+def simulate_and_observe(
+    cfg: ExperimentConfig,
+) -> tuple[TrajectoryLog, ObserverLog, dict[str, float]]:
+    """Draw the seeded noise, simulate the truth and run the observer on its
+    outputs; returns both logs and their "simulate" and "observer" times."""
     model = build_model(cfg)
     obs = build_observer(cfg)
-    cost = build_cost(cfg)
     spec = build_noise_spec(cfg)
 
     t0 = time.perf_counter()
@@ -235,7 +238,16 @@ def run_experiment(cfg: ExperimentConfig) -> RunResult:
     t1 = time.perf_counter()
     olog = run_observer(obs, np.asarray(cfg.z0), truth.outputs)
     t2 = time.perf_counter()
+    return truth, olog, {"simulate": t1 - t0, "observer": t2 - t1}
 
+
+def run_experiment(cfg: ExperimentConfig) -> RunResult:
+    """Simulate, observe, then estimate for every budget; audit cost decrease."""
+    model = build_model(cfg)
+    cost = build_cost(cfg)
+    truth, olog, timing = simulate_and_observe(cfg)
+
+    t2 = time.perf_counter()
     keys = [budget_key(b) for b in cfg.budgets]
     if cfg.include_converged:
         keys.append("converged")
@@ -272,12 +284,8 @@ def run_experiment(cfg: ExperimentConfig) -> RunResult:
     t3 = time.perf_counter()
 
     rmse_table = {k: rmse(truth.states, estimates[k]) for k in keys}
-    timing = {
-        "simulate": t1 - t0,
-        "observer": t2 - t1,
-        "estimate": t3 - t2,
-        "total": t3 - t0,
-    }
+    timing["estimate"] = t3 - t2
+    timing["total"] = timing["simulate"] + timing["observer"] + timing["estimate"]
     return RunResult(
         config=cfg,
         truth=truth,
@@ -289,22 +297,6 @@ def run_experiment(cfg: ExperimentConfig) -> RunResult:
         rmse_table=rmse_table,
         timing=timing,
     )
-
-
-def _write_series_csv(path, truth_states: np.ndarray, est: np.ndarray) -> None:
-    n = truth_states.shape[1]
-    header = (
-        ["t"]
-        + [f"x{i + 1}" for i in range(n)]
-        + [f"xhat{i + 1}" for i in range(n)]
-    )
-    with open(path, "w", encoding="utf-8") as fh:
-        fh.write(",".join(header) + "\n")
-        for t in range(truth_states.shape[0]):
-            row = [str(t)]
-            row += [f"{x:.17g}" for x in truth_states[t]]
-            row += [f"{x:.17g}" for x in est[t]]
-            fh.write(",".join(row) + "\n")
 
 
 def run_summary(result: RunResult) -> dict:
@@ -345,7 +337,7 @@ def reproduce_figure(cfg: ExperimentConfig, out_dir=None) -> dict:
     paths = {}
     for key, est in series.items():
         path = out / f"series_{key}.csv"
-        _write_series_csv(path, result.truth.states, est)
+        write_csv(path, {"x": result.truth.states, "xhat": est})
         paths[key] = str(path)
 
     summary = run_summary(result)

@@ -13,7 +13,7 @@ from typing import Callable, Sequence
 
 import numpy as np
 
-from .dynamics import DEFAULT_DT, NumericsError, SystemModel, batch_reactor_model
+from .dynamics import DEFAULT_DT, NumericsError, SystemModel, batch_reactor_model, write_csv
 
 
 @dataclass(frozen=True, eq=False)
@@ -51,7 +51,9 @@ class ObserverLog:
         return self.fit_errors.shape[0]
 
     def to_csv(self, path) -> None:
-        write_observer_csv(self, path)
+        """Columns t, z1..zn, vz1..vzp, L1..Ln; the final state's row reads
+        nan in the fit-error and correction columns."""
+        write_csv(path, {"z": self.states, "vz": self.fit_errors, "L": self.corrections})
 
 
 def observer_step(
@@ -128,24 +130,3 @@ def batch_reactor_observer(
     kappa = dt * float(np.sqrt(g1 * g1 + g2 * g2))
     return ObserverSpec(model=batch_reactor_model(dt=dt), correction=correction, kappa=kappa)
 
-
-def write_observer_csv(log: ObserverLog, path) -> None:
-    """CSV with header t,z1..zn,vz1..vzp,L1..Ln (final state row padded with nan)."""
-    n = log.states.shape[1]
-    p = log.fit_errors.shape[1]
-    header = (
-        ["t"]
-        + [f"z{i + 1}" for i in range(n)]
-        + [f"vz{i + 1}" for i in range(p)]
-        + [f"L{i + 1}" for i in range(n)]
-    )
-    with open(path, "w", encoding="utf-8") as fh:
-        fh.write(",".join(header) + "\n")
-        for t in range(log.steps + 1):
-            row = [str(t)] + [f"{z:.17g}" for z in log.states[t]]
-            if t < log.steps:
-                row += [f"{e:.17g}" for e in log.fit_errors[t]]
-                row += [f"{c:.17g}" for c in log.corrections[t]]
-            else:
-                row += ["nan"] * (p + n)
-            fh.write(",".join(row) + "\n")

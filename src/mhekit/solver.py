@@ -12,11 +12,13 @@ iterations. The step solves the window's linear-quadratic smoothing problem
 by a backward Riccati recursion, O(M n^3) per iteration. For non-quadratic
 costs, or when that system is singular or its step non-finite, the direction
 is projected steepest descent, whose first trial step is the spectral
-(Barzilai-Borwein) ratio of the previous step (``initial_step`` when there
+(Barzilai-Borwein) ratio of the previous step (``INITIAL_STEP`` when there
 is none). The iterate path is deterministic and independent of the budget:
 one loop runs it to the largest budget asked for, so a longer budget always
 extends a shorter one's cost trace, and the converged baseline is the
-snapshot at ``max_iterations``.
+snapshot at ``max_iterations``. That cap is the only setting; the Armijo
+constant, step halving, first step and stopping tolerances are the module
+constants below, since the never-worse guarantee does not depend on them.
 
 Each iterate is evaluated by one forward pass: the accepted line-search
 trial's states and residuals feed the next gradient and Gauss-Newton
@@ -55,31 +57,23 @@ def _is_integer(value) -> bool:
     return isinstance(value, (int, np.integer)) and not isinstance(value, bool)
 
 
+# Line-search and stopping constants: the textbook Armijo test with step
+# halving (Nocedal & Wright, Numerical Optimization, 2nd ed., sec. 3.1).
+ARMIJO_C = 1e-4
+BACKTRACK_FACTOR = 0.5
+MAX_BACKTRACKS = 40
+INITIAL_STEP = 1.0
+CONVERGENCE_TOL = 1e-8  # projected-gradient norm
+COST_TOL = 1e-10  # cost decrease per iteration
+
+
 @dataclass(frozen=True)
 class SolverConfig:
     max_iterations: int = 500
-    convergence_tol: float = 1e-8  # projected-gradient norm
-    cost_tol: float = 1e-10  # cost decrease per iteration
-    armijo_c: float = 1e-4
-    backtrack_factor: float = 0.5
-    max_backtracks: int = 40
-    initial_step: float = 1.0
 
     def __post_init__(self):
-        for name in ("max_iterations", "max_backtracks"):
-            value = getattr(self, name)
-            if not _is_integer(value) or value < 0:
-                raise ValueError(f"{name} must be a nonnegative integer")
-        if not 0 < self.initial_step < np.inf:
-            raise ValueError("initial_step must be positive and finite")
-        if not self.cost_tol >= 0:
-            raise ValueError("cost_tol must be >= 0")
-        if not 0 < self.armijo_c < 1:
-            raise ValueError("armijo_c must be in (0, 1)")
-        if not 0 < self.backtrack_factor < 1:
-            raise ValueError("backtrack_factor must be in (0, 1)")
-        if not self.convergence_tol > 0:
-            raise ValueError("convergence_tol must be positive")
+        if not _is_integer(self.max_iterations) or self.max_iterations < 0:
+            raise ValueError("max_iterations must be a nonnegative integer")
 
 
 @dataclass(frozen=True, eq=False)
@@ -191,7 +185,7 @@ def _evaluate(problem: HorizonProblem, chi0, omegas, ro: WindowRollout):
     return -g_chi, -g_om, g_chi, g_om, False
 
 
-def _linesearch(problem, chi0, omegas, dir_chi, dir_om, g_chi, g_om, cost_now, step, cfg):
+def _linesearch(problem, chi0, omegas, dir_chi, dir_om, g_chi, g_om, cost_now, step):
     """First projected trial along the direction that stays feasible and
     passes the Armijo test, as (decision, forward pass, feasibility report),
     or None."""
@@ -199,18 +193,19 @@ def _linesearch(problem, chi0, omegas, dir_chi, dir_om, g_chi, g_om, cost_now, s
     x_lo, x_hi = model.state_set.lower, model.state_set.upper
     w_lo, w_hi = model.disturbance_set.lower, model.disturbance_set.upper
     alpha = step
-    for _ in range(cfg.max_backtracks + 1):
+    for _ in range(MAX_BACKTRACKS + 1):
         t_chi = np.clip(chi0 + alpha * dir_chi, x_lo, x_hi)
         t_om = np.clip(omegas + alpha * dir_om, w_lo, w_hi)
-        descent = float(g_chi @ (t_chi - chi0)) + float(np.sum(g_om * (t_om - omegas)))
+        # overlong trial steps, and the products of huge gradients, may
+        # overflow transiently; such trials are rejected
         with np.errstate(over="ignore", invalid="ignore"):
-            # overlong trial steps may overflow transiently; they are rejected
+            descent = float(g_chi @ (t_chi - chi0)) + float(np.sum(g_om * (t_om - omegas)))
             ro = _forward_pass(problem, t_chi, t_om)
-        if np.all(np.isfinite(ro.states)) and np.isfinite(ro.cost):
+        if np.isfinite(descent) and np.all(np.isfinite(ro.states)) and np.isfinite(ro.cost):
             feas = _feasibility(problem, t_om, ro)
-            if feas.feasible and ro.cost <= cost_now + cfg.armijo_c * descent:
+            if feas.feasible and ro.cost <= cost_now + ARMIJO_C * descent:
                 return DecisionVector(t_chi, t_om), ro, feas
-        alpha *= cfg.backtrack_factor
+        alpha *= BACKTRACK_FACTOR
     return None
 
 
@@ -222,13 +217,13 @@ def _projected_gradient_norm(problem, chi0, omegas, g_chi, g_om) -> float:
     step_om = omegas - np.clip(
         omegas - g_om, model.disturbance_set.lower, model.disturbance_set.upper
     )
-    return float(np.sqrt(np.sum(step_chi**2) + np.sum(step_om**2)))
+    with np.errstate(over="ignore", invalid="ignore"):  # huge gradients give inf
+        return float(np.sqrt(np.sum(step_chi**2) + np.sum(step_om**2)))
 
 
 def _solve_core(
     problem: HorizonProblem,
     candidate: DecisionVector,
-    cfg: SolverConfig,
     budgets: Sequence[int],
 ) -> dict[int, tuple[DecisionVector, IterationReport]]:
     """The one iteration loop: runs the iterate path from the warm start to
@@ -252,15 +247,15 @@ def _solve_core(
     prev = None  # previous (chi0, omegas, gradient) for the spectral step
     results = {}
     # The gradient and direction are evaluated at the top of each iteration,
-    # so none is spent on the iterate a budget or cost_tol stops at.
+    # so none is spent on the iterate a budget or COST_TOL stops at.
     for budget in sorted(set(budgets)):
         while not stopped and len(trace) <= budget:
             dir_chi, dir_om, g_chi, g_om, gn = _evaluate(problem, d.chi0, d.omegas, ro)
             pg = _projected_gradient_norm(problem, d.chi0, d.omegas, g_chi, g_om)
-            if pg <= cfg.convergence_tol:
+            if pg <= CONVERGENCE_TOL:
                 converged = stopped = True
                 break
-            alpha0 = cfg.initial_step
+            alpha0 = INITIAL_STEP
             if not gn and prev is not None:
                 p_chi, p_om, pg_chi, pg_om = prev
                 s_chi, s_om = d.chi0 - p_chi, d.omegas - p_om
@@ -270,14 +265,14 @@ def _solve_core(
                 if sty > 1e-300 and np.isfinite(sty):
                     alpha0 = min(max(sts / sty, 1e-12), 1e12)
             accepted = _linesearch(
-                problem, d.chi0, d.omegas, dir_chi, dir_om, g_chi, g_om, ro.cost, alpha0, cfg
+                problem, d.chi0, d.omegas, dir_chi, dir_om, g_chi, g_om, ro.cost, alpha0
             )
             if accepted is None:
                 stopped = True
                 break
             prev = (d.chi0, d.omegas, g_chi, g_om)
             d, ro, feas = accepted
-            converged = stopped = trace[-1] - ro.cost <= cfg.cost_tol
+            converged = stopped = trace[-1] - ro.cost <= COST_TOL
             trace.append(ro.cost)
         results[budget] = _pack(d, feas, trace, converged)
     return results
@@ -302,7 +297,7 @@ def solve_suboptimal(
     fewer when the projected-gradient norm or the per-iteration cost
     decrease falls below tolerance; with a zero budget the candidate is
     returned unchanged."""
-    return _solve_core(problem, candidate, cfg, (cfg.max_iterations,))[cfg.max_iterations]
+    return _solve_core(problem, candidate, (cfg.max_iterations,))[cfg.max_iterations]
 
 
 def solve_with_checkpoints(
@@ -322,6 +317,6 @@ def solve_with_checkpoints(
     (the candidate itself at zero steps), so treat them as read-only.
     """
     stops = (*budgets, cfg.max_iterations) if converged else budgets
-    results = _solve_core(problem, candidate, cfg, stops)
+    results = _solve_core(problem, candidate, stops)
     per_budget = {b: results[b] for b in sorted(set(budgets))}
     return per_budget, results[cfg.max_iterations] if converged else None

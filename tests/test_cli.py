@@ -106,6 +106,29 @@ class TestHappyPaths:
         out = tmp_path / "d"
         assert main(["simulate", "--seed", "1", "--out", str(out)]) == 0
 
+    @pytest.mark.parametrize("command", ["simulate", "observe"])
+    def test_simulate_and_observe_run_no_estimator(
+        self, config_file, tmp_path, monkeypatch, command
+    ):
+        def solve(*args, **kwargs):
+            raise AssertionError("the estimator ran")
+
+        monkeypatch.setattr(mk.harness, "solve_with_checkpoints", solve)
+        assert main([command, "--config", config_file, "--out", str(tmp_path)]) == 0
+
+    @pytest.mark.parametrize("command", ["estimate", "analyze"])
+    def test_tiny_noise_covariance_runs_without_warnings(self, tmp_path, command):
+        # the inverse covariances weigh the cost by ~1e300, so gradients and
+        # Armijo products overflow; run in a fresh interpreter so numpy's
+        # floating-point warnings would reach stderr
+        for doc in (
+            {"output_cov": [[1e-300]], "steps": 15},
+            {"process_cov": [[1e-300, 0], [0, 1e-300]], "steps": 15},
+        ):
+            proc = run_cli_process(tmp_path, command, doc)
+            assert proc.returncode == 0, doc
+            assert proc.stderr == "", (doc, proc.stderr)
+
 
 class TestErrorPaths:
     def test_missing_config_exits_1_naming_path(self, tmp_path, capsys):
@@ -164,6 +187,7 @@ class TestErrorPaths:
             {"solver": 5},
             {"detectability": 5},
             [1, 2],
+            {"solver": {"initial_step": 1e300}},
         ],
     )
     def test_invalid_config_is_one_config_error_line(self, tmp_path, capsys, doc):

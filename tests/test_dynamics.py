@@ -4,7 +4,7 @@ import numpy as np
 import pytest
 
 import mhekit as mk
-from mhekit.dynamics import BoxSet, NoiseSpec, NumericsError, batch_reactor_drift
+from mhekit.dynamics import BoxSet, NoiseSpec, NumericsError, batch_reactor_drift, write_csv
 
 
 class TestBatchReactorDrift:
@@ -215,6 +215,20 @@ class TestBoxSet:
 
 
 class TestTrajectoryCsv:
+    def test_write_csv_names_and_pads_columns(self, tmp_path):
+        path = tmp_path / "cols.csv"
+        write_csv(path, {"e": np.array([0.1, -2.0, 3.0]), "x": np.array([[1.0, 2.0]])})
+        with open(path) as fh:
+            rows = list(csv.reader(fh))
+        # a 1-d array keeps its name, an (rows, k) array is numbered 1..k,
+        # and rows past the end of the shorter array read nan
+        assert rows == [
+            ["t", "e", "x1", "x2"],
+            ["0", "0.10000000000000001", "1", "2"],
+            ["1", "-2", "nan", "nan"],
+            ["2", "3", "nan", "nan"],
+        ]
+
     def test_header_and_rows(self, reactor, tmp_path):
         log = mk.simulate(reactor, [5.0, 2.0], np.zeros((4, 2)), np.zeros((4, 1)), 4)
         path = tmp_path / "traj.csv"

@@ -1,9 +1,10 @@
-from dataclasses import replace
+from dataclasses import fields, replace
 
 import numpy as np
 import pytest
 
 import mhekit as mk
+from mhekit import solver
 from mhekit.dynamics import BoxSet, NoiseSpec, SystemModel
 from mhekit.mhe import QuadWeights
 from mhekit.solver import InfeasibleCandidateError, _gn_direction, _jacobians
@@ -386,7 +387,7 @@ class TestSolveSuboptimal:
         with pytest.raises(InfeasibleCandidateError):
             mk.solve_suboptimal(bad_problem, candidate, mk.SolverConfig())
 
-    def test_line_search_failure_returns_candidate(self, reactor, quad_cost):
+    def test_line_search_failure_returns_candidate(self, reactor, quad_cost, monkeypatch):
         # Pin the residual set to {0} with data consistent only with the
         # candidate; with few backtracks every step is rejected.
         pinned = replace(reactor, noise_set=BoxSet([0.0], [0.0]))
@@ -401,10 +402,8 @@ class TestSolveSuboptimal:
             prior=x0 + np.array([0.5, -0.2]), measurements=ys,
         )
         candidate = mk.DecisionVector(x0, np.zeros((3, 2)))
-        d, report = mk.solve_suboptimal(
-            problem, candidate,
-            mk.SolverConfig(max_iterations=5, max_backtracks=3),
-        )
+        monkeypatch.setattr(solver, "MAX_BACKTRACKS", 3)
+        d, report = mk.solve_suboptimal(problem, candidate, mk.SolverConfig(max_iterations=5))
         assert d is candidate
         assert report.iterations_used == 0
         assert mk.check_feasible(problem, d).feasible
@@ -560,8 +559,10 @@ class TestSolverConfig:
     def test_validation(self):
         with pytest.raises(ValueError):
             mk.SolverConfig(max_iterations=-1)
-        with pytest.raises(ValueError):
-            mk.SolverConfig(armijo_c=1.5)
-        for removed in ("step_rule", "converged_cap"):
+        assert [f.name for f in fields(mk.SolverConfig)] == ["max_iterations"]
+        for removed in (
+            "step_rule", "converged_cap", "armijo_c", "backtrack_factor",
+            "max_backtracks", "initial_step", "convergence_tol", "cost_tol",
+        ):
             with pytest.raises(TypeError):
                 mk.SolverConfig(**{removed: None})
