@@ -355,18 +355,13 @@ class RmseResult:
     aggregate: float
 
 
-def rmse(truth, estimates, skip: int = 0) -> RmseResult:
-    """Root-mean-square estimation error, per component and aggregate.
-
-    ``skip`` drops the leading transient steps from the average.
-    """
+def rmse(truth, estimates) -> RmseResult:
+    """Root-mean-square estimation error, per component and aggregate."""
     xt = np.atleast_2d(np.asarray(truth, dtype=np.float64))
     xe = np.atleast_2d(np.asarray(estimates, dtype=np.float64))
     if xt.shape != xe.shape:
         raise ValueError("truth and estimate trajectories differ in shape")
-    diff = (xt - xe)[skip:]
-    if diff.shape[0] == 0:
-        raise ValueError("skip removes every sample")
+    diff = xt - xe
     per = np.sqrt(np.mean(diff**2, axis=0))
     agg = float(np.sqrt(np.mean(np.sum(diff**2, axis=1))))
     return RmseResult(per_component=per, aggregate=agg)

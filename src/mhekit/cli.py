@@ -1,7 +1,7 @@
 """Command-line pipeline: simulate, observe, estimate, analyze, reproduce-figure.
 
-Exit codes: 0 success, 1 configuration/usage error, 2 numeric failure,
-3 a result failed the cost-decrease or budget-ordering audit.
+Exit codes: 0 success, 1 configuration, usage or output-directory error,
+2 numeric failure, 3 a result failed the cost-decrease or ordering audit.
 """
 
 from __future__ import annotations
@@ -9,6 +9,7 @@ from __future__ import annotations
 import argparse
 import json
 import sys
+from dataclasses import asdict
 from pathlib import Path
 
 import numpy as np
@@ -68,7 +69,7 @@ def _out_dir(cfg: ExperimentConfig) -> Path:
 
 
 def _cmd_simulate(cfg: ExperimentConfig) -> int:
-    truth, _, _ = simulate_and_observe(cfg)
+    truth, _ = simulate_and_observe(cfg)
     out = _out_dir(cfg)
     truth.to_csv(out / "truth.csv")
     print(f"wrote {out / 'truth.csv'} ({cfg.steps} steps, seed {cfg.seed})")
@@ -76,7 +77,7 @@ def _cmd_simulate(cfg: ExperimentConfig) -> int:
 
 
 def _cmd_observe(cfg: ExperimentConfig) -> int:
-    truth, olog, _ = simulate_and_observe(cfg)
+    truth, olog = simulate_and_observe(cfg)
     out = _out_dir(cfg)
     truth.to_csv(out / "truth.csv")
     olog.to_csv(out / "observer.csv")
@@ -112,17 +113,9 @@ def _cmd_analyze(cfg: ExperimentConfig) -> int:
     result = run_experiment(cfg)
     report = analyze_run(result)
     out = _out_dir(cfg)
-    fitted = report["fitted_observer_constants"]
-    derived = report["estimator_constants"]
     doc = {
-        "fitted_observer_constants": {
-            "c_p": fitted.c_p, "c_w": fitted.c_w, "c_v": fitted.c_v,
-            "rho": fitted.rho, "fitted": fitted.fitted,
-        },
-        "estimator_constants": {
-            "c_p": derived.c_p, "c_w": derived.c_w, "c_v": derived.c_v,
-            "rho": derived.rho, "fitted": derived.fitted,
-        },
+        "fitted_observer_constants": asdict(report["fitted_observer_constants"]),
+        "estimator_constants": asdict(report["estimator_constants"]),
         "min_cost_margin": {
             k: float(np.min(v)) for k, v in report["cost_margins"].items()
         },
@@ -203,6 +196,9 @@ def main(argv=None) -> int:
     except AuditError as exc:
         print(f"audit failure: {exc}", file=sys.stderr)
         return EXIT_AUDIT
+    except OSError as exc:  # the output directory cannot be created or written
+        print(f"config error: cannot write output: {exc}", file=sys.stderr)
+        return EXIT_CONFIG
 
 
 if __name__ == "__main__":

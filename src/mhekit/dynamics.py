@@ -58,10 +58,6 @@ class BoxSet:
     def dim(self) -> int:
         return self.lower.shape[0]
 
-    @property
-    def bounded(self) -> bool:
-        return bool(np.all(np.isfinite(self.lower)) and np.all(np.isfinite(self.upper)))
-
     def row_violations(self, rows) -> np.ndarray:
         """Largest bound excess along the last axis (0 inside the box)."""
         rows = np.asarray(rows, dtype=np.float64)
@@ -97,7 +93,6 @@ class SystemModel:
     lipschitz_h: float | None = None
     f_jac: Callable[[np.ndarray], np.ndarray] | None = None
     h_jac: Callable[[np.ndarray], np.ndarray] | None = None
-    name: str = ""
 
     def __post_init__(self):
         if self.state_set.dim != self.n:
@@ -234,7 +229,6 @@ def batch_reactor_model(dt: float = DEFAULT_DT) -> SystemModel:
         lipschitz_h=float(np.sqrt(2.0)),
         f_jac=lambda x: _rk4(_reactor_drift, x, dt, _reactor_drift_jac)[1],
         h_jac=lambda x: np.ones(np.shape(x)[:-1] + (1, 2)),
-        name="batch_reactor",
     )
 
 

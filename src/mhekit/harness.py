@@ -4,13 +4,13 @@ Simulates the truth once, runs the observer on its outputs, then solves
 every window problem warm-started at the observer-based candidate for
 each iteration budget (plus a fully converged baseline sharing the same
 warm start). Before any result is reported, the accepted cost is audited
-against the warm-start cost at every step and budget.
+against the warm-start cost at every step and budget, and against the
+cost of every smaller budget at the same step.
 """
 
 from __future__ import annotations
 
 import json
-import time
 from dataclasses import asdict, dataclass, field
 from pathlib import Path
 
@@ -82,6 +82,8 @@ class ExperimentConfig:
         if not _is_integer(self.seed) or self.seed < 0:
             raise ConfigError("seed must be a nonnegative integer")
         _numeric(self, "noise_scale", ())
+        if not isinstance(self.out_dir, str):
+            raise ConfigError("out_dir must be a string")
         if not self.budgets and not self.include_converged:
             raise ConfigError("nothing to estimate: no budgets and no converged baseline")
         if self.include_converged and self.solver.max_iterations < max(self.budgets, default=0):
@@ -101,14 +103,7 @@ class ExperimentConfig:
                 raise ConfigError(f"{name} must be symmetric positive definite")
 
     def to_dict(self) -> dict:
-        doc = asdict(self)
-        doc["budgets"] = list(self.budgets)
-        doc["x0"] = list(self.x0)
-        doc["z0"] = list(self.z0)
-        doc["observer_gain"] = list(self.observer_gain)
-        doc["process_cov"] = [list(r) for r in self.process_cov]
-        doc["output_cov"] = [list(r) for r in self.output_cov]
-        return doc
+        return asdict(self)
 
     @classmethod
     def from_dict(cls, doc: dict) -> "ExperimentConfig":
@@ -151,6 +146,8 @@ def read_config_doc(path) -> dict:
         raise ConfigError(f"config file not found: {path}")
     try:
         doc = json.loads(path.read_text(encoding="utf-8"))
+    except (OSError, UnicodeDecodeError) as exc:
+        raise ConfigError(f"cannot read config file {path}: {exc}") from exc
     except json.JSONDecodeError as exc:
         raise ConfigError(f"config file {path} is not valid JSON: {exc}") from exc
     if not isinstance(doc, dict):
@@ -178,8 +175,6 @@ def build_model(cfg: ExperimentConfig) -> SystemModel:
 
 
 def build_observer(cfg: ExperimentConfig) -> ObserverSpec:
-    if cfg.model != "batch_reactor":
-        raise ConfigError(f"unknown model id: {cfg.model!r}")
     return batch_reactor_observer(gain=cfg.observer_gain, dt=cfg.dt)
 
 
@@ -213,41 +208,35 @@ class RunResult:
     candidate_costs: np.ndarray
     iterations: dict[str, np.ndarray]
     rmse_table: dict[str, RmseResult]
-    timing: dict[str, float]
 
 
 def budget_key(budget: int | None) -> str:
     return "converged" if budget is None else f"i{budget}"
 
 
-def simulate_and_observe(
-    cfg: ExperimentConfig,
-) -> tuple[TrajectoryLog, ObserverLog, dict[str, float]]:
+def simulate_and_observe(cfg: ExperimentConfig) -> tuple[TrajectoryLog, ObserverLog]:
     """Draw the seeded noise, simulate the truth and run the observer on its
-    outputs; returns both logs and their "simulate" and "observer" times."""
+    outputs; returns both logs."""
     model = build_model(cfg)
     obs = build_observer(cfg)
     spec = build_noise_spec(cfg)
 
-    t0 = time.perf_counter()
     w, v = draw_noise(spec, cfg.steps)
     if cfg.noise_scale != 1.0:
         w = w * cfg.noise_scale
         v = v * cfg.noise_scale
     truth = simulate(model, np.asarray(cfg.x0), w, v, cfg.steps)
-    t1 = time.perf_counter()
     olog = run_observer(obs, np.asarray(cfg.z0), truth.outputs)
-    t2 = time.perf_counter()
-    return truth, olog, {"simulate": t1 - t0, "observer": t2 - t1}
+    return truth, olog
 
 
 def run_experiment(cfg: ExperimentConfig) -> RunResult:
-    """Simulate, observe, then estimate for every budget; audit cost decrease."""
+    """Simulate, observe, then estimate for every budget; audit cost decrease
+    and budget ordering at every step."""
     model = build_model(cfg)
     cost = build_cost(cfg)
-    truth, olog, timing = simulate_and_observe(cfg)
+    truth, olog = simulate_and_observe(cfg)
 
-    t2 = time.perf_counter()
     keys = [budget_key(b) for b in cfg.budgets]
     if cfg.include_converged:
         keys.append("converged")
@@ -258,6 +247,10 @@ def run_experiment(cfg: ExperimentConfig) -> RunResult:
     candidate_costs = np.zeros(cfg.steps + 1)
     for k in keys:
         estimates[k][0] = np.asarray(cfg.z0, dtype=np.float64)
+    # more iterations never raise the accepted cost
+    ordered = [budget_key(b) for b in sorted(cfg.budgets)]
+    if cfg.include_converged:
+        ordered.append("converged")
 
     for t in range(1, cfg.steps + 1):
         problem = advance_window(model, cost, cfg.horizon, truth.outputs, olog, t)
@@ -280,12 +273,12 @@ def run_experiment(cfg: ExperimentConfig) -> RunResult:
             estimates[key][t] = rollout(problem, d).states[-1]
             accepted[key][t] = j_hat
             iterations[key][t] = report.iterations_used
+        for hi, lo in zip(ordered[1:], ordered[:-1]):
+            if accepted[hi][t] > accepted[lo][t]:
+                raise AuditError(f"budget ordering audit failed at t={t}: {hi} vs {lo}")
         candidate_costs[t] = float(next(iter(solved.values()))[1].cost_trace[0])
-    t3 = time.perf_counter()
 
     rmse_table = {k: rmse(truth.states, estimates[k]) for k in keys}
-    timing["estimate"] = t3 - t2
-    timing["total"] = timing["simulate"] + timing["observer"] + timing["estimate"]
     return RunResult(
         config=cfg,
         truth=truth,
@@ -295,7 +288,6 @@ def run_experiment(cfg: ExperimentConfig) -> RunResult:
         candidate_costs=candidate_costs,
         iterations=iterations,
         rmse_table=rmse_table,
-        timing=timing,
     )
 
 
@@ -328,9 +320,9 @@ def run_summary(result: RunResult) -> dict:
 def reproduce_figure(cfg: ExperimentConfig, out_dir=None) -> dict:
     """Write one CSV per series (each budget, converged, truth) plus a
     summary JSON with the RMSE table and cost traces; returns the summary."""
+    result = run_experiment(cfg)
     out = Path(out_dir if out_dir is not None else cfg.out_dir)
     out.mkdir(parents=True, exist_ok=True)
-    result = run_experiment(cfg)
 
     series = dict(result.estimates)
     series["truth"] = result.truth.states
@@ -341,18 +333,10 @@ def reproduce_figure(cfg: ExperimentConfig, out_dir=None) -> dict:
         paths[key] = str(path)
 
     summary = run_summary(result)
-    # Per-step budget ordering audit: more iterations never raise the cost.
-    ordered = [budget_key(b) for b in sorted(result.config.budgets)]
-    if "converged" in result.estimates:
-        ordered.append("converged")
-    for hi, lo in zip(ordered[1:], ordered[:-1]):
-        if np.any(result.accepted_costs[hi] > result.accepted_costs[lo]):
-            raise AuditError(f"budget ordering audit failed: {hi} vs {lo}")
     summary_path = out / "summary.json"
     summary_path.write_text(json.dumps(summary, indent=2, sort_keys=True))
     paths["summary"] = str(summary_path)
     summary["paths"] = paths
-    summary["timing"] = result.timing
     return summary
 
 

@@ -8,7 +8,6 @@ residuals are eliminated through the measurement equation.
 
 from __future__ import annotations
 
-import json
 from dataclasses import dataclass
 from typing import Callable
 
@@ -173,9 +172,6 @@ class DecisionVector:
     def horizon(self) -> int:
         return self.omegas.shape[0]
 
-    def copy(self) -> "DecisionVector":
-        return DecisionVector(self.chi0.copy(), self.omegas.copy())
-
 
 @dataclass(frozen=True, eq=False)
 class WindowRollout:
@@ -292,20 +288,20 @@ def advance_window(
     )
 
 
-def _feasibility(
-    problem: HorizonProblem, omegas, ro: WindowRollout, tol: float = FEASIBILITY_TOL
-) -> FeasibilityReport:
+def _feasibility(problem: HorizonProblem, omegas, ro: WindowRollout) -> FeasibilityReport:
     """Set membership of a forward pass's states and residuals and of the
     disturbances that produced it."""
     model = problem.model
     state = model.state_set.row_violations(ro.states)
     disturbance = model.disturbance_set.row_violations(omegas)
     residual = model.noise_set.row_violations(ro.residuals)
-    violations = [(i, "state", float(a)) for i, a in enumerate(state) if a > tol]
+    violations = [
+        (i, "state", float(a)) for i, a in enumerate(state) if a > FEASIBILITY_TOL
+    ]
     for i in range(problem.horizon):
-        if disturbance[i] > tol:
+        if disturbance[i] > FEASIBILITY_TOL:
             violations.append((i, "disturbance", float(disturbance[i])))
-        if residual[i] > tol:
+        if residual[i] > FEASIBILITY_TOL:
             violations.append((i, "residual", float(residual[i])))
     worst = max((v[2] for v in violations), default=0.0)
     return FeasibilityReport(
@@ -313,24 +309,6 @@ def _feasibility(
     )
 
 
-def check_feasible(
-    problem: HorizonProblem, d: DecisionVector, tol: float = FEASIBILITY_TOL
-) -> FeasibilityReport:
+def check_feasible(problem: HorizonProblem, d: DecisionVector) -> FeasibilityReport:
     """Set membership of all window states, disturbances and residuals."""
-    return _feasibility(problem, d.omegas, rollout(problem, d), tol)
-
-
-def snapshot_json(problem: HorizonProblem, d: DecisionVector | None = None) -> str:
-    """Serializable view of a window (debugging, regression goldens)."""
-    doc = {
-        "start": problem.start,
-        "horizon": problem.horizon,
-        "prior": problem.prior.tolist(),
-        "measurements": problem.measurements.tolist(),
-    }
-    if d is not None:
-        doc["candidate"] = {
-            "chi0": d.chi0.tolist(),
-            "omegas": d.omegas.tolist(),
-        }
-    return json.dumps(doc, sort_keys=True)
+    return _feasibility(problem, d.omegas, rollout(problem, d))

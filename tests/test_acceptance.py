@@ -2,7 +2,7 @@
 
 Each test prints a single "ACCEPTANCE <id>: PASS/FAIL" line (visible with
 pytest -s, and always on failure). Criteria 3-5 share one 20-seed batch of
-case-study runs; the model caches are warmed before any timed block.
+case-study runs; one short untimed run precedes the timed batch.
 """
 
 import time
@@ -24,7 +24,7 @@ def _report(name: str, ok: bool, detail: str = ""):
 @pytest.fixture(scope="module")
 def suite():
     """Twenty seeded case-study runs plus fitted/derived envelope constants."""
-    mk.run_experiment(mk.ExperimentConfig(seed=0, steps=8))  # warm the caches
+    mk.run_experiment(mk.ExperimentConfig(seed=0, steps=8))  # untimed warm-up run
     t0 = time.perf_counter()
     runs = [mk.run_experiment(mk.ExperimentConfig(seed=1000 + s)) for s in range(20)]
     elapsed = time.perf_counter() - t0

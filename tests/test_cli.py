@@ -100,6 +100,8 @@ class TestHappyPaths:
         assert main(["analyze", "--config", config_file, "--out", str(out)]) == 0
         doc = json.loads((out / "analysis.json").read_text())
         assert doc["fitted_observer_constants"]["fitted"] is True
+        for key in ("fitted_observer_constants", "estimator_constants"):
+            assert set(doc[key]) == {"c_p", "c_w", "c_v", "rho", "fitted"}
         assert all(v >= 0 for v in doc["min_envelope_margin"].values())
 
     def test_default_config_used_when_omitted(self, tmp_path):
@@ -155,6 +157,41 @@ class TestErrorPaths:
 
     def test_bad_budget_list_exits_1(self, config_file):
         assert main(["estimate", "--config", config_file, "--budget", "two"]) == 1
+
+    @pytest.mark.parametrize("command", ["simulate", "reproduce-figure"])
+    def test_output_path_that_is_a_file_is_one_config_error_line(
+        self, config_file, tmp_path, capsys, command
+    ):
+        taken = tmp_path / "taken"
+        taken.write_text("")
+        assert main([command, "--config", config_file, "--out", str(taken)]) == 1
+        err = capsys.readouterr().err
+        assert len(err.splitlines()) == 1
+        assert err.startswith("config error:")
+        assert "taken" in err
+
+    def test_non_string_out_dir_is_one_config_error_line(
+        self, tmp_path, capsys, monkeypatch
+    ):
+        monkeypatch.chdir(tmp_path)
+        path = tmp_path / "cfg.json"
+        path.write_text(json.dumps({"out_dir": 5, "steps": 3}))
+        assert main(["simulate", "--config", str(path)]) == 1
+        err = capsys.readouterr().err
+        assert err.splitlines() == ["config error: out_dir must be a string"]
+
+    @pytest.mark.parametrize("kind", ["directory", "not utf-8"])
+    def test_unreadable_config_is_one_config_error_line(self, tmp_path, capsys, kind):
+        path = tmp_path / "cfg.json"
+        if kind == "directory":
+            path.mkdir()
+        else:
+            path.write_bytes(b'{"seed": "\xff"}')
+        assert main(["simulate", "--config", str(path), "--out", str(tmp_path)]) == 1
+        err = capsys.readouterr().err
+        assert len(err.splitlines()) == 1
+        assert err.startswith("config error:")
+        assert "cfg.json" in err
 
     @pytest.mark.parametrize(
         "doc",
@@ -233,6 +270,8 @@ class TestErrorPaths:
             # each cost below its warm start, but budget 2 above budget 0
             ("reproduce-figure", lambda b: [10.0, float(b)],
              "budget ordering audit failed"),
+            ("estimate", lambda b: [10.0, float(b)], "budget ordering audit failed"),
+            ("analyze", lambda b: [10.0, float(b)], "budget ordering audit failed"),
         ],
     )
     def test_audit_failure_is_one_line_exit_3(
@@ -254,3 +293,4 @@ class TestErrorPaths:
         err = capsys.readouterr().err
         assert len(err.splitlines()) == 1
         assert err.startswith(f"audit failure: {message}")
+        assert not (tmp_path / "o").exists()

@@ -207,7 +207,7 @@ class TestBoxSet:
     def test_unbounded_contains_everything(self):
         box = BoxSet.unbounded(3)
         assert box.contains([1e300, -1e300, 0.0])
-        assert not box.bounded
+        assert np.all(np.isinf(box.lower)) and np.all(np.isinf(box.upper))
 
     def test_invalid_bounds_raise(self):
         with pytest.raises(ValueError):

@@ -1,4 +1,3 @@
-import json
 from dataclasses import replace
 
 import numpy as np
@@ -227,14 +226,3 @@ class TestCheckFeasible:
         kinds = {v[1] for v in report.violations}
         assert kinds == {"disturbance"}
         assert report.max_violation > 0
-
-
-class TestSnapshot:
-    def test_json_round_trip(self, reactor, quad_cost, noisy_setup):
-        truth, olog = noisy_setup
-        problem = mk.advance_window(reactor, quad_cost, 10, truth.outputs, olog, 12)
-        cand = mk.build_candidate(olog, problem.start, problem.horizon)
-        doc = json.loads(mk.mhe.snapshot_json(problem, cand))
-        assert doc["horizon"] == 10
-        assert doc["start"] == 2
-        np.testing.assert_array_equal(doc["candidate"]["chi0"], cand.chi0)

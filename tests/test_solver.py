@@ -47,7 +47,6 @@ def linear_model():
         lipschitz_h=float(np.linalg.norm(c)),
         f_jac=lambda x: np.broadcast_to(a, np.shape(x)[:-1] + a.shape),
         h_jac=lambda x: np.broadcast_to(c, np.shape(x)[:-1] + c.shape),
-        name="linear",
     )
 
 
