@@ -68,6 +68,7 @@ from .solver import (
     SolverConfig,
     cost_gradient,
     solve_suboptimal,
+    solve_windows,
     solve_with_checkpoints,
 )
 

@@ -3,9 +3,11 @@
 Simulates the truth once, runs the observer on its outputs, then solves
 every window problem warm-started at the observer-based candidate for
 each iteration budget (plus a fully converged baseline sharing the same
-warm start). Before any result is reported, the accepted cost is audited
-against the warm-start cost at every step and budget, and against the
-cost of every smaller budget at the same step.
+warm start). The windows depend only on the measurements and the observer
+log, so all of them are built first and solved in one ``solve_windows``
+call. Before any result is reported, the accepted cost is audited, in time
+order, against the warm-start cost at every step and budget, and against
+the cost of every smaller budget at the same step.
 """
 
 from __future__ import annotations
@@ -38,7 +40,12 @@ from .dynamics import (
 )
 from .mhe import CostSpec, advance_window, build_candidate, quadratic_cost, rollout
 from .observer import ObserverLog, ObserverSpec, batch_reactor_observer, run_observer
-from .solver import SolverConfig, _is_integer, solve_with_checkpoints
+from .solver import (
+    SolverConfig,
+    _is_integer,
+    solve_windows,
+    solve_with_checkpoints,  # noqa: F401 - perfbench/spans.py traces it under this module
+)
 
 
 class ConfigError(ValueError):
@@ -84,6 +91,8 @@ class ExperimentConfig:
         _numeric(self, "noise_scale", ())
         if not isinstance(self.out_dir, str):
             raise ConfigError("out_dir must be a string")
+        if not isinstance(self.include_converged, bool):
+            raise ConfigError("include_converged must be true or false")
         if not self.budgets and not self.include_converged:
             raise ConfigError("nothing to estimate: no budgets and no converged baseline")
         if self.include_converged and self.solver.max_iterations < max(self.budgets, default=0):
@@ -252,13 +261,18 @@ def run_experiment(cfg: ExperimentConfig) -> RunResult:
     if cfg.include_converged:
         ordered.append("converged")
 
-    for t in range(1, cfg.steps + 1):
-        problem = advance_window(model, cost, cfg.horizon, truth.outputs, olog, t)
-        candidate = build_candidate(olog, problem.start, problem.horizon)
-        per_budget, converged_result = solve_with_checkpoints(
-            problem, candidate, cfg.solver, cfg.budgets,
-            converged=cfg.include_converged,
-        )
+    problems = [
+        advance_window(model, cost, cfg.horizon, truth.outputs, olog, t)
+        for t in range(1, cfg.steps + 1)
+    ]
+    candidates = [build_candidate(olog, p.start, p.horizon) for p in problems]
+    solutions = solve_windows(
+        problems, candidates, cfg.solver, cfg.budgets, converged=cfg.include_converged
+    )
+    # audits and estimates in time order, so a failed audit names its first t
+    for t, problem, (per_budget, converged_result) in zip(
+        range(1, cfg.steps + 1), problems, solutions
+    ):
         solved = {budget_key(b): res for b, res in per_budget.items()}
         if converged_result is not None:
             solved["converged"] = converged_result

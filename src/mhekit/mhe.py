@@ -195,38 +195,102 @@ def _check_dims(problem: HorizonProblem, d: DecisionVector) -> None:
 
 
 def _stacked(name: str, value, shape: tuple[int, ...]) -> np.ndarray:
-    """The value of map ``name`` on a window's stacked stages, shape-checked
-    so that a map written for one state fails instead of misaligning."""
+    """The value of map ``name`` on stacked window stages, shape-checked so
+    that a map written for one state fails instead of misaligning."""
     value = np.asarray(value)
     if value.shape != shape:
         raise ValueError(f"{name} returned shape {value.shape} on a stack, expected {shape}")
     return value
 
 
-def _forward_pass(problem: HorizonProblem, chi0, omegas) -> WindowRollout:
-    """States, eliminated residuals and cost of (chi0, omegas), unchecked.
+def _batch(v) -> np.ndarray:
+    """A stacked array (B, ...) as the stage loops compute with it: without
+    its window axis when it holds one window, since numpy's small-matrix
+    calls run fastest on single matrices and states."""
+    return v[0] if len(v) == 1 else v
+
+
+def _stages(v) -> np.ndarray:
+    """Stage-major view of a stacked array (B, M, ...): index i gives stage i
+    of every window, as ``_batch`` shapes it."""
+    return v[0] if len(v) == 1 else v.swapaxes(0, 1)
+
+
+@dataclass(frozen=True, eq=False)
+class WindowStack:
+    """Windows of one model, cost and length M stacked along a leading
+    axis: priors (B, n) and measurements (B, M, p)."""
+
+    model: SystemModel
+    cost: CostSpec
+    prior: np.ndarray
+    measurements: np.ndarray
+
+    @classmethod
+    def of(cls, problems) -> "WindowStack":
+        first = problems[0]
+        return cls(
+            first.model,
+            first.cost,
+            np.array([p.prior for p in problems]),
+            np.array([p.measurements for p in problems]),
+        )
+
+    def take(self, mask) -> "WindowStack":
+        """The windows where ``mask`` is set (the stack itself for all)."""
+        if mask.all():
+            return self
+        return WindowStack(self.model, self.cost, self.prior[mask], self.measurements[mask])
+
+
+def _forward_pass(stack: WindowStack, chi0, omegas):
+    """States (B, M+1, n), eliminated residuals (B, M, p) and costs (B,) of
+    the stacked decisions (chi0, omegas), unchecked.
 
     The one window evaluation: the public functions and the solver all use
     it, and a caller that needs finite values checks them itself. Only ``f``
-    runs stage by stage; ``h`` and ``stage`` see the whole window at once.
+    runs stage by stage; ``h`` and ``stage`` see every window at once.
     """
-    model = problem.model
-    m = problem.horizon
-    states = np.empty((m + 1, model.n))
-    states[0] = x = chi0
+    model, cost = stack.model, stack.cost
+    b, m = omegas.shape[:2]
+    states = np.empty((b, m + 1, model.n))
+    states[:, 0] = chi0
+    xs, ws = _stages(states), _stages(omegas)
+    x = xs[0]
     for i in range(m):
-        x = states[i + 1] = model.f(x) + omegas[i]
-    outputs = _stacked("h", model.h(states[:-1]), (m, model.p))
-    resids = problem.measurements - outputs
-    stage = _stacked("stage", problem.cost.stage(omegas, resids), (m,))
-    total = float(problem.cost.gamma(chi0, problem.prior)) + float(np.sum(stage))
-    return WindowRollout(states=states, residuals=resids, cost=total)
+        x = xs[i + 1] = model.f(x) + ws[i]
+    outputs = _stacked("h", model.h(states[:, :-1]), (b, m, model.p))
+    resids = stack.measurements - outputs
+    stage = _stacked("stage", cost.stage(omegas, resids), (b, m))
+    prior = np.array([float(cost.gamma(c, p)) for c, p in zip(chi0, stack.prior)])
+    return states, resids, prior + np.sum(stage, axis=-1)
+
+
+def _feasibility(model: SystemModel, omegas, states, resids) -> np.ndarray:
+    """Largest violation above ``FEASIBILITY_TOL`` of each stacked window's
+    states, residuals and the disturbances that produced them; 0 for a
+    feasible window."""
+    rows = np.concatenate(
+        [
+            model.state_set.row_violations(states),
+            model.disturbance_set.row_violations(omegas),
+            model.noise_set.row_violations(resids),
+        ],
+        axis=-1,
+    )
+    return np.max(rows, axis=-1, initial=0.0, where=rows > FEASIBILITY_TOL)
+
+
+def _window_pass(problem: HorizonProblem, d: DecisionVector):
+    """``_forward_pass`` of one window's decision, as a stack of one."""
+    _check_dims(problem, d)
+    return _forward_pass(WindowStack.of([problem]), d.chi0[None], d.omegas[None])
 
 
 def rollout(problem: HorizonProblem, d: DecisionVector) -> WindowRollout:
     """Single-shooting forward pass with the eliminated residuals and cost."""
-    _check_dims(problem, d)
-    ro = _forward_pass(problem, d.chi0, d.omegas)
+    states, resids, cost = _window_pass(problem, d)
+    ro = WindowRollout(states=states[0], residuals=resids[0], cost=float(cost[0]))
     if not (np.all(np.isfinite(ro.states)) and np.isfinite(ro.cost)):
         raise NumericsError("window rollout produced non-finite values")
     return ro
@@ -234,8 +298,7 @@ def rollout(problem: HorizonProblem, d: DecisionVector) -> WindowRollout:
 
 def eval_cost(problem: HorizonProblem, d: DecisionVector) -> float:
     """Prior term plus the stage-cost sum over the window."""
-    _check_dims(problem, d)
-    value = _forward_pass(problem, d.chi0, d.omegas).cost
+    value = float(_window_pass(problem, d)[2][0])
     if not np.isfinite(value):
         raise NumericsError("window cost is non-finite")
     return value
@@ -288,12 +351,12 @@ def advance_window(
     )
 
 
-def _feasibility(problem: HorizonProblem, omegas, ro: WindowRollout) -> FeasibilityReport:
-    """Set membership of a forward pass's states and residuals and of the
-    disturbances that produced it."""
+def check_feasible(problem: HorizonProblem, d: DecisionVector) -> FeasibilityReport:
+    """Set membership of all window states, disturbances and residuals."""
+    ro = rollout(problem, d)
     model = problem.model
     state = model.state_set.row_violations(ro.states)
-    disturbance = model.disturbance_set.row_violations(omegas)
+    disturbance = model.disturbance_set.row_violations(d.omegas)
     residual = model.noise_set.row_violations(ro.residuals)
     violations = [
         (i, "state", float(a)) for i, a in enumerate(state) if a > FEASIBILITY_TOL
@@ -307,8 +370,3 @@ def _feasibility(problem: HorizonProblem, omegas, ro: WindowRollout) -> Feasibil
     return FeasibilityReport(
         feasible=not violations, max_violation=worst, violations=tuple(violations)
     )
-
-
-def check_feasible(problem: HorizonProblem, d: DecisionVector) -> FeasibilityReport:
-    """Set membership of all window states, disturbances and residuals."""
-    return _feasibility(problem, d.omegas, rollout(problem, d))

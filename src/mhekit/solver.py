@@ -22,16 +22,25 @@ constants below, since the never-worse guarantee does not depend on them.
 
 Each iterate is evaluated by one forward pass: the accepted line-search
 trial's states and residuals feed the next gradient and Gauss-Newton
-direction, and the feasibility report that accepted the trial is the one
-returned with it. One call of each model Jacobian on the pass's stacked
+direction, and the feasibility check that accepted the trial vouches for
+the iterate returned. One call of each model Jacobian on the pass's stacked
 states serves both the gradient and the direction; the iterate a solve
 stops at is not evaluated.
+
+Windows are solved as stacks. ``solve_windows`` takes many windows; those
+that share a model, cost and length M run one iteration loop together,
+every step an array operation over a leading window axis (the Riccati
+stages solve (B, n, n) stacks). Each window keeps its own step size,
+spectral pair, cost trace and stopping state, and leaves the stack when it
+converges or its line search fails, so each window's result at every
+budget is what its own solve returns. ``solve_with_checkpoints`` and
+``solve_suboptimal`` are stacks of one through the same loop.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Sequence
+from typing import NamedTuple, Sequence
 
 import numpy as np
 
@@ -39,10 +48,13 @@ from .dynamics import NumericsError
 from .mhe import (
     DecisionVector,
     HorizonProblem,
-    WindowRollout,
+    WindowStack,
+    _check_dims,
     _feasibility,
     _forward_pass,
+    _batch,
     _stacked,
+    _stages,
     check_feasible,  # noqa: F401 - perfbench/spans.py traces it under this module
     eval_cost,  # noqa: F401 - perfbench/spans.py traces it under this module
     rollout,
@@ -84,13 +96,58 @@ class IterationReport:
     feasibility_residual: float
 
 
+class _Iterates(NamedTuple):
+    """Stacked iterates, row r one window: its decision and forward pass."""
+
+    chi: np.ndarray  # (R, n)
+    omegas: np.ndarray  # (R, M, n)
+    states: np.ndarray  # (R, M+1, n)
+    residuals: np.ndarray  # (R, M, p)
+    cost: np.ndarray  # (R,)
+
+
+class _Previous(NamedTuple):
+    """Each row's previous iterate and gradient, for its spectral step."""
+
+    chi: np.ndarray
+    omegas: np.ndarray
+    g_chi: np.ndarray
+    g_om: np.ndarray
+
+
+def _rows(values, mask):
+    """The rows where ``mask`` is set of an array, or of every array of an
+    ``_Iterates`` or ``_Previous``; the values themselves when it is set
+    everywhere."""
+    if mask.all():
+        return values
+    if isinstance(values, tuple):
+        return type(values)(*(v[mask] for v in values))
+    return values[mask]
+
+
+def _inner(u, v) -> np.ndarray:
+    """Inner product of each row's u and v, over all but the leading axis."""
+    return np.sum((u * v).reshape(len(u), -1), axis=-1)
+
+
+def _finite(values) -> np.ndarray:
+    """Whether each row's values are all finite."""
+    return np.isfinite(values).reshape(len(values), -1).all(axis=-1)
+
+
 def cost_gradient(
     problem: HorizonProblem, d: DecisionVector
 ) -> tuple[np.ndarray, np.ndarray]:
     """Exact cost gradient w.r.t. (chi0, omegas) by reverse accumulation."""
     _require_gradients(problem)
     ro = rollout(problem, d)
-    return _gradient(problem, d.chi0, d.omegas, ro, *_jacobians(problem, ro))
+    stack = WindowStack.of([problem])
+    g_chi, g_om = _gradient(
+        stack, d.chi0[None], d.omegas[None], ro.residuals[None],
+        *_jacobians(stack, ro.states[None]),
+    )
+    return g_chi[0], g_om[0]
 
 
 def _require_gradients(problem: HorizonProblem) -> None:
@@ -102,115 +159,172 @@ def _require_gradients(problem: HorizonProblem) -> None:
         raise ValueError("cost gradients are required for gradient-based solving")
 
 
-def _jacobians(problem: HorizonProblem, ro: WindowRollout):
-    """Model Jacobians along the forward pass ``ro``: A (M, n, n) of the
-    transition and C (M, p, n) of the output map at each window state."""
-    model, m = problem.model, problem.horizon
-    a = _stacked("f_jac", model.f_jac(ro.states[:-1]), (m, model.n, model.n))
-    c = _stacked("h_jac", model.h_jac(ro.states[:-1]), (m, model.p, model.n))
+def _jacobians(stack: WindowStack, states):
+    """Model Jacobians along stacked forward passes ``states`` (B, M+1, n):
+    A (B, M, n, n) of the transition and C (B, M, p, n) of the output map at
+    each window state."""
+    model = stack.model
+    b, m = states.shape[0], states.shape[1] - 1
+    x = states[:, :-1]
+    a = _stacked("f_jac", model.f_jac(x), (b, m, model.n, model.n))
+    c = _stacked("h_jac", model.h_jac(x), (b, m, model.p, model.n))
     return a, c
 
 
-def _gradient(problem: HorizonProblem, chi0, omegas, ro: WindowRollout, a, c):
-    """Reverse sweep over the forward pass ``ro`` of (chi0, omegas) with
-    its Jacobians ``a`` and ``c``; the stage terms are evaluated up front."""
-    cost, nu = problem.cost, ro.residuals
-    g_om = _stacked("stage_grad_w", cost.stage_grad_w(omegas, nu), omegas.shape).copy()
-    g_nu = _stacked("stage_grad_v", cost.stage_grad_v(omegas, nu), nu.shape)
-    ct_g_nu = (np.swapaxes(c, 1, 2) @ g_nu[:, :, None])[:, :, 0]  # C_i' g_nu_i
-    lam = np.zeros(problem.model.n)
-    for i in range(problem.horizon - 1, -1, -1):
-        g_om[i] += lam
-        lam = a[i].T @ lam - ct_g_nu[i]
-    g_chi = cost.gamma_grad(chi0, problem.prior) + lam
+def _gradient(stack: WindowStack, chi0, omegas, resids, a, c):
+    """Reverse sweep over stacked forward passes of (chi0, omegas) with
+    residuals ``resids`` and Jacobians ``a`` and ``c``; the stage terms are
+    evaluated up front."""
+    cost = stack.cost
+    g_om = _stacked("stage_grad_w", cost.stage_grad_w(omegas, resids), omegas.shape).copy()
+    g_nu = _stacked("stage_grad_v", cost.stage_grad_v(omegas, resids), resids.shape)
+    # stage-major columns; g_stages writes through to g_om
+    ct_g_nu = _stages(c.swapaxes(-1, -2) @ g_nu[..., None])  # C_i' g_nu_i
+    at = _stages(a).swapaxes(-1, -2)
+    g_stages = _stages(g_om[..., None])
+    lam = np.zeros(at.shape[1:-1] + (1,))
+    for i in range(len(at) - 1, -1, -1):
+        g_stages[i] += lam
+        lam = at[i] @ lam - ct_g_nu[i]
+    gamma_grad = np.array([cost.gamma_grad(x, p) for x, p in zip(chi0, stack.prior)])
+    g_chi = gamma_grad + lam.reshape(chi0.shape)
     if not (np.all(np.isfinite(g_chi)) and np.all(np.isfinite(g_om))):
         raise NumericsError("cost gradient is non-finite")
     return g_chi, g_om
 
 
-def _gn_direction(problem: HorizonProblem, chi0, omegas, ro: WindowRollout, a, c):
-    """Gauss-Newton step of a quadratic cost at the forward pass ``ro``.
+def _gn_direction(stack: WindowStack, chi0, omegas, resids, a, c):
+    """Gauss-Newton steps of a quadratic cost at stacked forward passes.
 
-    The step minimises the window's linear-quadratic model: dynamics
+    Each window's step minimises its linear-quadratic model: dynamics
     dx(i+1) = A_i dx(i) + dw(i), stage terms Q_i = 2 C_i' V C_i,
     q_i = -2 C_i' V nu_i, R = 2 W, r_i = 2 W w_i and the prior term
     2 P (dchi + chi - prior). A backward Riccati sweep from S = 0, s = 0
     gives the feedback dw(i) = K_i dx(i) + k_i, and a forward sweep from
-    dchi = -(2P + S_0)^-1 (2P (chi - prior) + s_0) applies it: O(M n^3).
-    Raises ``np.linalg.LinAlgError`` when a stage system is singular.
+    dchi = -(2P + S_0)^-1 (2P (chi - prior) + s_0) applies it: O(M n^3) per
+    window, and each stage is one ``np.linalg.solve`` on the stack. Raises
+    ``np.linalg.LinAlgError`` when a stage system of any window is singular.
     """
-    q = problem.cost.quad
-    m, n = problem.horizon, problem.model.n
+    q = stack.cost.quad
+    n = omegas.shape[-1]
     p2, w2 = 2.0 * q.prior, 2.0 * q.disturbance
-    ct_v2 = np.swapaxes(c, 1, 2) @ (2.0 * q.noise)
-    stage_q = ct_v2 @ c  # Q_i
-    stage_qv = -(ct_v2 @ ro.residuals[:, :, None])[:, :, 0]  # q_i
-    # stage i solves (R + S) [K_i k_i] = -[S A_i  r_i + s]
-    rhs = np.empty((m, n, n + 1))
-    rhs[:, :, n] = omegas @ w2.T  # r_i
-    feedback = np.empty((m, n, n + 1))  # [K_i k_i]
-    big_s = np.zeros((n, n))
-    s = np.zeros(n)
-    for i in range(m - 1, -1, -1):
-        sa = big_s @ a[i]
-        rhs[i, :, :n] = sa
-        rhs[i, :, n] += s
-        fb = feedback[i] = -np.linalg.solve(w2 + big_s, rhs[i])
-        big_s = stage_q[i] + a[i].T @ sa + sa.T @ fb[:, :n]
-        s = stage_qv[i] + a[i].T @ s + sa.T @ fb[:, n]
-    d_chi = np.linalg.solve(p2 + big_s, -(p2 @ (chi0 - problem.prior) + s))
-    d_om = np.empty((m, n))
+    ct_v2 = c.swapaxes(-1, -2) @ (2.0 * q.noise)
+    # Stage-major, vectors as columns. The backward sweep carries S and s
+    # as one matrix [S s], and A_i as [[A_i 0] [0 1]], so that one product
+    # gives [S A_i  s] and one gives [A_i' S A_i  A_i' s].
+    a = _stages(a)
+    a_aug = np.zeros(a.shape[:-2] + (n + 1, n + 1))
+    a_aug[..., :n, :n] = a
+    a_aug[..., n, n] = 1.0
+    quad = np.empty(a.shape[:-1] + (n + 1,))  # [Q_i q_i]
+    quad[..., :n] = _stages(ct_v2 @ c)
+    quad[..., n:] = _stages(-(ct_v2 @ resids[..., None]))
+    lin = np.zeros_like(quad)  # [0 r_i]
+    lin[..., n] = _stages(omegas @ w2.T)
+    feedback = np.empty_like(quad)  # [K_i k_i]
+    ss = np.zeros(a.shape[1:-1] + (n + 1,))  # [S s]
+    for i in range(len(a) - 1, -1, -1):
+        sas = ss @ a_aug[i]  # [S A_i  s]
+        # stage i solves (R + S) [K_i k_i] = -[S A_i  r_i + s]
+        fb = feedback[i] = -np.linalg.solve(w2 + ss[..., :n], lin[i] + sas)
+        ss = quad[i] + a[i].swapaxes(-1, -2) @ sas + sas[..., :n].swapaxes(-1, -2) @ fb
+    dev = _batch(chi0 - stack.prior)[..., None]
+    d_chi = np.linalg.solve(p2 + ss[..., :n], -(p2 @ dev + ss[..., n:]))
+    d_om = np.empty(omegas.shape + (1,))
+    d_stages = _stages(d_om)
     dx = d_chi
-    for i in range(m):
-        d_om[i] = feedback[i, :, :n] @ dx + feedback[i, :, n]
-        dx = a[i] @ dx + d_om[i]
-    return d_chi, d_om
+    for i in range(len(a)):
+        d_stages[i] = feedback[i, ..., :n] @ dx + feedback[i, ..., n:]
+        dx = a[i] @ dx + d_stages[i]
+    return d_chi.reshape(chi0.shape), d_om[..., 0]
 
 
-def _evaluate(problem: HorizonProblem, chi0, omegas, ro: WindowRollout):
-    """Direction and gradient at an iterate from one Jacobian sweep, and
-    whether the direction is the Gauss-Newton step: it is when the cost is
-    quadratic and that step is well defined and finite, steepest descent
-    otherwise."""
-    jac = _jacobians(problem, ro)
-    g_chi, g_om = _gradient(problem, chi0, omegas, ro, *jac)
-    if problem.cost.quad is not None:
+def _evaluate(stack: WindowStack, x: _Iterates):
+    """Directions and gradients at stacked iterates from one Jacobian sweep,
+    and which directions are Gauss-Newton steps: a window's is when the cost
+    is quadratic and that step is well defined and finite, steepest descent
+    otherwise. A singular Gauss-Newton system sends the whole stack to
+    steepest descent (a singular disturbance weight W makes every window's
+    last stage system, 2W, singular at once)."""
+    jac = _jacobians(stack, x.states)
+    g_chi, g_om = _gradient(stack, x.chi, x.omegas, x.residuals, *jac)
+    dir_chi, dir_om = -g_chi, -g_om
+    gn = np.zeros(len(g_chi), dtype=bool)
+    if stack.cost.quad is not None:
         try:
-            d_chi, d_om = _gn_direction(problem, chi0, omegas, ro, *jac)
+            d_chi, d_om = _gn_direction(stack, x.chi, x.omegas, x.residuals, *jac)
         except np.linalg.LinAlgError:  # singular Gauss-Newton system
             pass
         else:
-            if np.all(np.isfinite(d_chi)) and np.all(np.isfinite(d_om)):
-                return d_chi, d_om, g_chi, g_om, True
-    return -g_chi, -g_om, g_chi, g_om, False
+            gn = _finite(d_chi) & _finite(d_om)
+            dir_chi[gn], dir_om[gn] = d_chi[gn], d_om[gn]
+    return dir_chi, dir_om, g_chi, g_om, gn
 
 
-def _linesearch(problem, chi0, omegas, dir_chi, dir_om, g_chi, g_om, cost_now, step):
-    """First projected trial along the direction that stays feasible and
-    passes the Armijo test, as (decision, forward pass, feasibility report),
-    or None."""
-    model = problem.model
+def _first_steps(x: _Iterates, g_chi, g_om, gn, prev: _Previous | None) -> np.ndarray:
+    """Each row's first trial step: ``INITIAL_STEP``, or for a steepest
+    descent direction after an earlier step the spectral (Barzilai-Borwein)
+    ratio of that step."""
+    step = np.full(len(gn), INITIAL_STEP)
+    spectral = ~gn
+    if prev is None or not spectral.any():
+        return step
+    s_chi, s_om = x.chi[spectral] - prev.chi[spectral], x.omegas[spectral] - prev.omegas[spectral]
+    y_chi, y_om = g_chi[spectral] - prev.g_chi[spectral], g_om[spectral] - prev.g_om[spectral]
+    sty = _inner(s_chi, y_chi) + _inner(s_om, y_om)
+    sts = _inner(s_chi, s_chi) + _inner(s_om, s_om)
+    ok = (sty > 1e-300) & np.isfinite(sty)
+    with np.errstate(over="ignore"):  # a huge ratio is capped below
+        ratio = np.minimum(np.maximum(sts[ok] / sty[ok], 1e-12), 1e12)
+    step[np.flatnonzero(spectral)[ok]] = ratio
+    return step
+
+
+def _linesearch(stack: WindowStack, x: _Iterates, dir_chi, dir_om, g_chi, g_om, step, pending):
+    """For each ``pending`` row, the first projected trial along its
+    direction from its first ``step`` that stays feasible and passes the
+    Armijo test. Returns which rows found one, and each row's next iterate:
+    that trial, or its current iterate."""
+    model = stack.model
     x_lo, x_hi = model.state_set.lower, model.state_set.upper
     w_lo, w_hi = model.disturbance_set.lower, model.disturbance_set.upper
+    found = np.zeros_like(pending)
+    pending = pending.copy()
     alpha = step
+    nxt = x
     for _ in range(MAX_BACKTRACKS + 1):
-        t_chi = np.clip(chi0 + alpha * dir_chi, x_lo, x_hi)
-        t_om = np.clip(omegas + alpha * dir_om, w_lo, w_hi)
+        if not pending.any():
+            break
+        chi, om, cost_now = _rows(x.chi, pending), _rows(x.omegas, pending), _rows(x.cost, pending)
+        t_step = _rows(alpha, pending)
+        t_chi = np.clip(chi + t_step[:, None] * _rows(dir_chi, pending), x_lo, x_hi)
+        t_om = np.clip(om + t_step[:, None, None] * _rows(dir_om, pending), w_lo, w_hi)
         # overlong trial steps, and the products of huge gradients, may
         # overflow transiently; such trials are rejected
         with np.errstate(over="ignore", invalid="ignore"):
-            descent = float(g_chi @ (t_chi - chi0)) + float(np.sum(g_om * (t_om - omegas)))
-            ro = _forward_pass(problem, t_chi, t_om)
-        if np.isfinite(descent) and np.all(np.isfinite(ro.states)) and np.isfinite(ro.cost):
-            feas = _feasibility(problem, t_om, ro)
-            if feas.feasible and ro.cost <= cost_now + ARMIJO_C * descent:
-                return DecisionVector(t_chi, t_om), ro, feas
-        alpha *= BACKTRACK_FACTOR
-    return None
+            descent = _inner(_rows(g_chi, pending), t_chi - chi) + _inner(
+                _rows(g_om, pending), t_om - om
+            )
+            trial = _Iterates(t_chi, t_om, *_forward_pass(stack.take(pending), t_chi, t_om))
+        ok = np.isfinite(descent) & _finite(trial.states) & np.isfinite(trial.cost)
+        if ok.any():
+            feasible = _feasibility(model, t_om[ok], trial.states[ok], trial.residuals[ok]) == 0.0
+            ok[ok] = feasible & (trial.cost[ok] <= cost_now[ok] + ARMIJO_C * descent[ok])
+        if ok.all() and pending.all():  # every row took its first trial
+            return ok, trial
+        rows = np.flatnonzero(pending)[ok]
+        if rows.size:
+            if nxt is x:
+                nxt = _Iterates(*(v.copy() for v in x))
+            for full, part in zip(nxt, trial):
+                full[rows] = part[ok]
+        found[rows] = True
+        pending[rows] = False
+        alpha = alpha * BACKTRACK_FACTOR
+    return found, nxt
 
 
-def _projected_gradient_norm(problem, chi0, omegas, g_chi, g_om) -> float:
-    model = problem.model
+def _projected_gradient_norm(model, chi0, omegas, g_chi, g_om) -> np.ndarray:
     step_chi = chi0 - np.clip(
         chi0 - g_chi, model.state_set.lower, model.state_set.upper
     )
@@ -218,74 +332,99 @@ def _projected_gradient_norm(problem, chi0, omegas, g_chi, g_om) -> float:
         omegas - g_om, model.disturbance_set.lower, model.disturbance_set.upper
     )
     with np.errstate(over="ignore", invalid="ignore"):  # huge gradients give inf
-        return float(np.sqrt(np.sum(step_chi**2) + np.sum(step_om**2)))
+        return np.sqrt(_inner(step_chi, step_chi) + _inner(step_om, step_om))
 
 
 def _solve_core(
-    problem: HorizonProblem,
-    candidate: DecisionVector,
+    problems: Sequence[HorizonProblem],
+    candidates: Sequence[DecisionVector],
     budgets: Sequence[int],
-) -> dict[int, tuple[DecisionVector, IterationReport]]:
-    """The one iteration loop: runs the iterate path from the warm start to
-    the largest budget and returns the packed result at each budget.
-
-    A budget past the point where the path stops (converged, or a failed
-    line search) gets that last iterate.
-    """
-    ro = rollout(problem, candidate)
-    feas = _feasibility(problem, candidate.omegas, ro)
-    if not feas.feasible:
-        raise InfeasibleCandidateError(
-            f"candidate violates the window constraints by {feas.max_violation:.3e}"
-        )
-    if max(budgets, default=0) > 0:
-        _require_gradients(problem)
-
-    d = candidate
-    trace = [ro.cost]  # the warm-start cost, then one entry per accepted step
-    converged = stopped = False
-    prev = None  # previous (chi0, omegas, gradient) for the spectral step
-    results = {}
-    # The gradient and direction are evaluated at the top of each iteration,
-    # so none is spent on the iterate a budget or COST_TOL stops at.
-    for budget in sorted(set(budgets)):
-        while not stopped and len(trace) <= budget:
-            dir_chi, dir_om, g_chi, g_om, gn = _evaluate(problem, d.chi0, d.omegas, ro)
-            pg = _projected_gradient_norm(problem, d.chi0, d.omegas, g_chi, g_om)
-            if pg <= CONVERGENCE_TOL:
-                converged = stopped = True
-                break
-            alpha0 = INITIAL_STEP
-            if not gn and prev is not None:
-                p_chi, p_om, pg_chi, pg_om = prev
-                s_chi, s_om = d.chi0 - p_chi, d.omegas - p_om
-                y_chi, y_om = g_chi - pg_chi, g_om - pg_om
-                sty = float(s_chi @ y_chi) + float(np.sum(s_om * y_om))
-                sts = float(s_chi @ s_chi) + float(np.sum(s_om * s_om))
-                if sty > 1e-300 and np.isfinite(sty):
-                    alpha0 = min(max(sts / sty, 1e-12), 1e12)
-            accepted = _linesearch(
-                problem, d.chi0, d.omegas, dir_chi, dir_om, g_chi, g_om, ro.cost, alpha0
-            )
-            if accepted is None:
-                stopped = True
-                break
-            prev = (d.chi0, d.omegas, g_chi, g_om)
-            d, ro, feas = accepted
-            converged = stopped = trace[-1] - ro.cost <= COST_TOL
-            trace.append(ro.cost)
-        results[budget] = _pack(d, feas, trace, converged)
+) -> list[dict[int, tuple[DecisionVector, IterationReport]]]:
+    """Each window's packed result at each budget, in input order. Windows
+    that share a model, cost and length M are solved as one stack."""
+    if len(problems) != len(candidates):
+        raise ValueError("need one candidate per window problem")
+    groups: dict[tuple, list[int]] = {}
+    for j, (problem, candidate) in enumerate(zip(problems, candidates)):
+        _check_dims(problem, candidate)
+        key = (id(problem.model), id(problem.cost), problem.horizon)
+        groups.setdefault(key, []).append(j)
+    results = [{} for _ in problems]
+    for rows in groups.values():
+        solved = _solve_stack([problems[j] for j in rows], [candidates[j] for j in rows], budgets)
+        for j, result in zip(rows, solved):
+            results[j] = result
     return results
 
 
-def _pack(d, feas, trace, converged) -> tuple[DecisionVector, IterationReport]:
-    """Result at an iterate; its feasibility residual comes from the report
-    that accepted the iterate (the entry report for the warm start)."""
+def _solve_stack(problems, candidates, budgets):
+    """The one iteration loop: runs the iterate paths of a stack of windows
+    from their warm starts to the largest budget and returns each window's
+    packed result at each budget.
+
+    Row r of the stack and its arrays is window ``ids[r]``. A window leaves
+    the stack when it stops (converged, or a failed line search), so every row
+    has taken the same number of steps, and a budget past a window's stop
+    gets its last iterate.
+    """
+    stack = WindowStack.of(problems)
+    chi = np.array([c.chi0 for c in candidates])
+    om = np.array([c.omegas for c in candidates])
+    x = _Iterates(chi, om, *_forward_pass(stack, chi, om))
+    if not np.all(_finite(x.states) & np.isfinite(x.cost)):
+        raise NumericsError("window rollout produced non-finite values")
+    for problem, violation in zip(problems, _feasibility(stack.model, om, x.states, x.residuals)):
+        if violation > 0.0:
+            raise InfeasibleCandidateError(
+                f"candidate of window [{problem.start}, {problem.start + problem.horizon}) "
+                f"violates the window constraints by {violation:.3e}"
+            )
+    if max(budgets, default=0) > 0:
+        _require_gradients(problems[0])
+
+    ids = np.arange(len(problems))
+    decisions = list(candidates)
+    traces = [[c] for c in x.cost.tolist()]  # warm-start cost, then one per step
+    converged = [False] * len(problems)
+    prev = None
+    results = [{} for _ in problems]
+    steps = 0  # taken by every row
+    # The gradient and direction are evaluated at the top of each iteration,
+    # so none is spent on the iterate a budget or COST_TOL stops at.
+    for budget in sorted(set(budgets)):
+        while ids.size and steps < budget:
+            dir_chi, dir_om, g_chi, g_om, gn = _evaluate(stack, x)
+            pg = _projected_gradient_norm(stack.model, x.chi, x.omegas, g_chi, g_om)
+            moving = pg > CONVERGENCE_TOL
+            step = _first_steps(x, g_chi, g_om, gn, prev)
+            found, nxt = _linesearch(stack, x, dir_chi, dir_om, g_chi, g_om, step, moving)
+            now_converged = ~moving | (found & (x.cost - nxt.cost <= COST_TOL))
+            for r in np.flatnonzero(found):
+                j = ids[r]
+                decisions[j] = DecisionVector(nxt.chi[r], nxt.omegas[r])
+                traces[j].append(float(nxt.cost[r]))
+            for j in ids[now_converged]:
+                converged[j] = True
+            # rows that converged or failed their line search stop here
+            keep = found & ~now_converged
+            ids, stack = _rows(ids, keep), stack.take(keep)
+            prev = _rows(_Previous(x.chi, x.omegas, g_chi, g_om), keep)
+            x = _rows(nxt, keep)
+            steps += 1
+        for j, result in enumerate(results):
+            result[budget] = _pack(decisions[j], traces[j], converged[j])
+    return results
+
+
+def _pack(d, trace, converged) -> tuple[DecisionVector, IterationReport]:
+    """Result at an iterate. Every iterate passed the feasibility check that
+    admitted it (the entry check for the warm start), so its violation
+    beyond ``FEASIBILITY_TOL`` is zero."""
     report = IterationReport(
         iterations_used=len(trace) - 1,
         cost_trace=np.asarray(trace, dtype=np.float64),
         converged=converged,
-        feasibility_residual=feas.max_violation,
+        feasibility_residual=0.0,
     )
     return d, report
 
@@ -297,7 +436,31 @@ def solve_suboptimal(
     fewer when the projected-gradient norm or the per-iteration cost
     decrease falls below tolerance; with a zero budget the candidate is
     returned unchanged."""
-    return _solve_core(problem, candidate, (cfg.max_iterations,))[cfg.max_iterations]
+    budget = cfg.max_iterations
+    return _solve_core([problem], [candidate], (budget,))[0][budget]
+
+
+def solve_windows(
+    problems: Sequence[HorizonProblem],
+    candidates: Sequence[DecisionVector],
+    cfg: SolverConfig,
+    budgets: Sequence[int],
+    converged: bool = True,
+) -> list[tuple[dict, tuple | None]]:
+    """``solve_with_checkpoints`` on many windows as one array program.
+
+    Returns, for each window in input order, exactly what
+    ``solve_with_checkpoints`` returns on it alone. Windows that share a
+    model, cost and length M iterate together as one stack; each keeps its
+    own step size, spectral pair, cost trace and stopping state, and leaves
+    the stack when it stops.
+    """
+    stops = (*budgets, cfg.max_iterations) if converged else tuple(budgets)
+    out = []
+    for results in _solve_core(problems, candidates, stops):
+        per_budget = {b: results[b] for b in sorted(set(budgets))}
+        out.append((per_budget, results[cfg.max_iterations] if converged else None))
+    return out
 
 
 def solve_with_checkpoints(
@@ -316,7 +479,4 @@ def solve_with_checkpoints(
     None). Results at budgets the path stops short of share one decision
     (the candidate itself at zero steps), so treat them as read-only.
     """
-    stops = (*budgets, cfg.max_iterations) if converged else budgets
-    results = _solve_core(problem, candidate, stops)
-    per_budget = {b: results[b] for b in sorted(set(budgets))}
-    return per_budget, results[cfg.max_iterations] if converged else None
+    return solve_windows([problem], [candidate], cfg, budgets, converged)[0]

@@ -112,10 +112,10 @@ class TestHappyPaths:
     def test_simulate_and_observe_run_no_estimator(
         self, config_file, tmp_path, monkeypatch, command
     ):
-        def solve(*args, **kwargs):
+        def solve_windows(*args, **kwargs):
             raise AssertionError("the estimator ran")
 
-        monkeypatch.setattr(mk.harness, "solve_with_checkpoints", solve)
+        monkeypatch.setattr(mk.harness, "solve_windows", solve_windows)
         assert main([command, "--config", config_file, "--out", str(tmp_path)]) == 0
 
     @pytest.mark.parametrize("command", ["estimate", "analyze"])
@@ -225,6 +225,8 @@ class TestErrorPaths:
             {"detectability": 5},
             [1, 2],
             {"solver": {"initial_step": 1e300}},
+            {"include_converged": "false", "steps": 12},
+            {"include_converged": 0, "steps": 12},
         ],
     )
     def test_invalid_config_is_one_config_error_line(self, tmp_path, capsys, doc):
@@ -287,10 +289,20 @@ class TestErrorPaths:
 
             return {b: result(b) for b in budgets}, None
 
-        monkeypatch.setattr(mk.harness, "solve_with_checkpoints", solve)
+        def solve_windows(problems, candidates, cfg, budgets, converged=True):
+            # windows up to t = 3 are solved for real, so t = 4 fails first
+            return [
+                (mk.solve_with_checkpoints if p.start + p.horizon < 4 else solve)(
+                    p, c, cfg, budgets, converged
+                )
+                for p, c in zip(problems, candidates)
+            ]
+
+        monkeypatch.setattr(mk.harness, "solve_windows", solve_windows)
         rc = main([command, "--config", config_file, "--out", str(tmp_path / "o")])
         assert rc == 3
         err = capsys.readouterr().err
         assert len(err.splitlines()) == 1
         assert err.startswith(f"audit failure: {message}")
+        assert err.startswith(f"audit failure: {message} at t=4")
         assert not (tmp_path / "o").exists()

@@ -6,7 +6,8 @@ import numpy as np
 import pytest
 
 import mhekit as mk
-from mhekit.harness import ConfigError, ExperimentConfig, analyze_run, run_summary
+from mhekit import harness
+from mhekit.harness import ConfigError, ExperimentConfig, analyze_run, budget_key, run_summary
 
 
 class TestExperimentConfig:
@@ -96,6 +97,66 @@ class TestRunExperiment:
     def test_rmse_table_matches_recomputation(self, short_run):
         direct = mk.rmse(short_run.truth.states, short_run.estimates["i2"])
         assert short_run.rmse_table["i2"].aggregate == direct.aggregate
+
+
+def per_window_oracle(cfg):
+    """Estimates, accepted costs, iteration counts and warm-start costs of a
+    run computed one window at a time in time order, each window by its own
+    ``solve_with_checkpoints`` call."""
+    model, cost = harness.build_model(cfg), harness.build_cost(cfg)
+    truth, olog = harness.simulate_and_observe(cfg)
+    keys = [budget_key(b) for b in cfg.budgets]
+    if cfg.include_converged:
+        keys.append("converged")
+    estimates = {k: np.empty((cfg.steps + 1, model.n)) for k in keys}
+    accepted = {k: np.zeros(cfg.steps + 1) for k in keys}
+    iterations = {k: np.zeros(cfg.steps + 1, dtype=np.int64) for k in keys}
+    candidate_costs = np.zeros(cfg.steps + 1)
+    for k in keys:
+        estimates[k][0] = cfg.z0
+    for t in range(1, cfg.steps + 1):
+        problem = mk.advance_window(model, cost, cfg.horizon, truth.outputs, olog, t)
+        candidate = mk.build_candidate(olog, problem.start, problem.horizon)
+        per_budget, final = mk.solve_with_checkpoints(
+            problem, candidate, cfg.solver, cfg.budgets, converged=cfg.include_converged
+        )
+        solved = {budget_key(b): res for b, res in per_budget.items()}
+        if final is not None:
+            solved["converged"] = final
+        for key, (d, report) in solved.items():
+            estimates[key][t] = mk.rollout(problem, d).states[-1]
+            accepted[key][t] = report.cost_trace[-1]
+            iterations[key][t] = report.iterations_used
+            candidate_costs[t] = report.cost_trace[0]
+    return estimates, accepted, iterations, candidate_costs
+
+
+class TestStackedRun:
+    @pytest.mark.parametrize(
+        "overrides",
+        [
+            {"seed": 42},
+            {"steps": 6, "horizon": 10},
+            {"steps": 30, "horizon": 1},
+            {"steps": 0},
+            {"steps": 30, "budgets": ()},
+        ],
+        ids=["seed-42", "steps-below-horizon", "horizon-1", "no-steps", "converged-only"],
+    )
+    def test_matches_per_window_oracle(self, overrides):
+        cfg = ExperimentConfig(**overrides)
+        result = mk.run_experiment(cfg)
+        estimates, accepted, iterations, candidate_costs = per_window_oracle(cfg)
+        assert list(result.estimates) == list(estimates)
+        for key in estimates:
+            for got, expected in (
+                (result.estimates[key], estimates[key]),
+                (result.accepted_costs[key], accepted[key]),
+            ):
+                assert np.linalg.norm(got - expected) <= 1e-12 * np.linalg.norm(expected), key
+            np.testing.assert_array_equal(result.iterations[key], iterations[key])
+        diff = np.linalg.norm(result.candidate_costs - candidate_costs)
+        assert diff <= 1e-12 * np.linalg.norm(candidate_costs)
 
 
 class TestReproduceFigure:

@@ -6,7 +6,7 @@ import pytest
 import mhekit as mk
 from mhekit import solver
 from mhekit.dynamics import BoxSet, NoiseSpec, SystemModel
-from mhekit.mhe import QuadWeights
+from mhekit.mhe import QuadWeights, WindowStack
 from mhekit.solver import InfeasibleCandidateError, _gn_direction, _jacobians
 
 
@@ -171,11 +171,14 @@ class TestGaussNewtonDirection:
                 chi0 + rng.normal(0.0, 0.3, 2), oms + rng.normal(0.0, 0.05, oms.shape)
             )
             ro = mk.rollout(problem, d)
+            stack = WindowStack.of([problem])
             d_chi, d_om = _gn_direction(
-                problem, d.chi0, d.omegas, ro, *_jacobians(problem, ro)
+                stack, d.chi0[None], d.omegas[None], ro.residuals[None],
+                *_jacobians(stack, ro.states[None]),
             )
+            assert d_chi.shape == (1, 2) and d_om.shape == (1, horizon, 2)
             e_chi, e_om = dense_gn_direction(problem, ro, *mk.cost_gradient(problem, d))
-            got = np.concatenate([d_chi, d_om.ravel()])
+            got = np.concatenate([d_chi[0], d_om[0].ravel()])
             expect = np.concatenate([e_chi, e_om.ravel()])
             assert np.linalg.norm(got - expect) <= 1e-10 * np.linalg.norm(expect)
 
@@ -202,13 +205,38 @@ class TestGaussNewtonDirection:
                 prior=problem.prior, measurements=problem.measurements,
                 start=problem.start,
             )
-            stack = (problem.horizon, problem.model.n)
+            stack = (1, problem.horizon, problem.model.n)
             calls.update(f=[], h=[])
             _, report = mk.solve_suboptimal(
                 counting, candidate, mk.SolverConfig(max_iterations=2)
             )
             assert report.iterations_used == 2
             assert calls == {"f": [stack, stack], "h": [stack, stack]}
+
+    def test_stacked_windows_sweep_jacobians_once_per_step_and_length(
+        self, reactor, reactor_observer, quad_cost
+    ):
+        calls = []
+
+        def counted(x):
+            calls.append(np.shape(x))
+            return reactor.f_jac(x)
+
+        model = replace(reactor, f_jac=counted)
+        w, v = mk.draw_noise(NoiseSpec(0.01 * np.eye(2), [[0.04]], seed=31), 30)
+        truth = mk.simulate(reactor, [5.0, 2.0], w, v, 30)
+        olog = mk.run_observer(reactor_observer, [3.0, 0.0], truth.outputs)
+        # lengths 5, 10 (nine windows) and 7, in order of first appearance
+        problems = [
+            mk.advance_window(model, quad_cost, 10, truth.outputs, olog, t)
+            for t in (5, *range(12, 21), 7)
+        ]
+        candidates = [mk.build_candidate(olog, p.start, p.horizon) for p in problems]
+        solved = mk.solve_windows(
+            problems, candidates, mk.SolverConfig(), (2,), converged=False
+        )
+        assert [res[2][1].iterations_used for res, _ in solved] == [2] * len(problems)
+        assert calls == [(1, 5, 2)] * 2 + [(9, 10, 2)] * 2 + [(1, 7, 2)] * 2
 
     def test_forward_pass_maps_output_and_stage_once(self, window, monkeypatch):
         problem, candidate = window
@@ -237,7 +265,7 @@ class TestGaussNewtonDirection:
         monkeypatch.setattr(mk.solver, "_forward_pass", counted_pass)
         monkeypatch.setattr(mk.mhe, "_forward_pass", counted_pass)
         mk.solve_suboptimal(counting, candidate, mk.SolverConfig(max_iterations=2))
-        stack = (problem.horizon, problem.model.n)
+        stack = (1, problem.horizon, problem.model.n)
         assert passes and calls == [("h", stack), ("stage", stack)] * len(passes)
 
     def test_singular_system_falls_back_to_steepest_descent(self, window):
@@ -383,7 +411,7 @@ class TestSolveSuboptimal:
             prior=problem.prior, measurements=problem.measurements,
             start=problem.start,
         )
-        with pytest.raises(InfeasibleCandidateError):
+        with pytest.raises(InfeasibleCandidateError, match=r"window \[10, 20\)"):
             mk.solve_suboptimal(bad_problem, candidate, mk.SolverConfig())
 
     def test_line_search_failure_returns_candidate(self, reactor, quad_cost, monkeypatch):
@@ -517,9 +545,9 @@ class TestCheckpoints:
         forward, feasibility = mk.mhe._forward_pass, mk.solver._feasibility
 
         def counted_pass(*args):
-            ro = forward(*args)
-            finite_passes.append(bool(np.all(np.isfinite(ro.states)) and np.isfinite(ro.cost)))
-            return ro
+            states, resids, cost = forward(*args)
+            finite_passes.append(bool(np.all(np.isfinite(states)) and np.all(np.isfinite(cost))))
+            return states, resids, cost
 
         def counted_feasibility(*args):
             checks.append(1)
