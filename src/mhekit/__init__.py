@@ -66,6 +66,7 @@ from .solver import (
     InfeasibleCandidateError,
     IterationReport,
     SolverConfig,
+    WindowSolutions,
     cost_gradient,
     solve_suboptimal,
     solve_windows,

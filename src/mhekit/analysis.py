@@ -157,13 +157,13 @@ def suboptimal_cost_bound(
 
     Three terms: the decayed initial estimation error plus the discounted
     disturbance and noise histories, each raised to the cost exponent and
-    amplified by the corresponding geometric window factor. A scalar ``t``
-    gives a float; a 1-D integer array gives the bound at each of its
-    times from one discounted history up to its largest entry.
+    amplified by the corresponding geometric window factor. A nonnegative
+    integer ``t`` gives a float, a 1-D array of them the bound at each time
+    (one discounted history up to the largest); other ``t`` raise ValueError.
     """
     ts = np.asarray(t)
-    if ts.ndim > 1 or ts.dtype.kind not in "iu":
-        raise ValueError("t must be an integer or a 1-D integer array")
+    if ts.ndim > 1 or ts.dtype.kind not in "iu" or np.any(ts < 0):
+        raise ValueError("t must be a nonnegative integer or a 1-D array of them")
     w_norms = _norm_rows(disturbances)
     v_norms = _norm_rows(noises)
     t_max = int(ts.max(initial=0))

@@ -5,9 +5,8 @@ every window problem warm-started at the observer-based candidate for
 each iteration budget (plus a fully converged baseline sharing the same
 warm start). The windows depend only on the measurements and the observer
 log, so all of them are built first and solved in one ``solve_windows``
-call. Before any result is reported, the accepted cost is audited, in time
-order, against the warm-start cost at every step and budget, and against
-the cost of every smaller budget at the same step.
+call, one stop per series. Before any result is reported, every accepted
+cost is audited against the warm-start cost and every smaller budget's.
 """
 
 from __future__ import annotations
@@ -106,6 +105,10 @@ class ExperimentConfig:
         n, p = model.n, model.p
         for name in ("x0", "z0", "observer_gain"):
             _numeric(self, name, (n,))
+        try:
+            build_observer(self)
+        except ValueError as exc:  # a zero gain bounds no correction
+            raise ConfigError(f"bad observer: {exc}") from exc
         for name, dim in (("process_cov", n), ("output_cov", p)):
             cov = _numeric(self, name, (dim, dim))
             if not np.array_equal(cov, cov.T) or np.linalg.eigvalsh(cov)[0] <= 0:
@@ -246,51 +249,43 @@ def run_experiment(cfg: ExperimentConfig) -> RunResult:
     cost = build_cost(cfg)
     truth, olog = simulate_and_observe(cfg)
 
-    keys = [budget_key(b) for b in cfg.budgets]
-    if cfg.include_converged:
-        keys.append("converged")
-    n = model.n
-    estimates = {k: np.empty((cfg.steps + 1, n)) for k in keys}
-    accepted = {k: np.zeros(cfg.steps + 1) for k in keys}
-    iterations = {k: np.zeros(cfg.steps + 1, dtype=np.int64) for k in keys}
-    candidate_costs = np.zeros(cfg.steps + 1)
-    for k in keys:
-        estimates[k][0] = np.asarray(cfg.z0, dtype=np.float64)
-    # more iterations never raise the accepted cost
-    ordered = [budget_key(b) for b in sorted(cfg.budgets)]
-    if cfg.include_converged:
-        ordered.append("converged")
+    # one stop per series, in config order; the converged baseline's is the cap
+    keys = [budget_key(b) for b in cfg.budgets] + ["converged"] * cfg.include_converged
+    stops = [*cfg.budgets] + [cfg.solver.max_iterations] * cfg.include_converged
 
     problems = [
         advance_window(model, cost, cfg.horizon, truth.outputs, olog, t)
         for t in range(1, cfg.steps + 1)
     ]
     candidates = [build_candidate(olog, p.start, p.horizon) for p in problems]
-    solutions = solve_windows(
-        problems, candidates, cfg.solver, cfg.budgets, converged=cfg.include_converged
-    )
-    # audits and estimates in time order, so a failed audit names its first t
-    for t, problem, (per_budget, converged_result) in zip(
-        range(1, cfg.steps + 1), problems, solutions
-    ):
-        solved = {budget_key(b): res for b, res in per_budget.items()}
-        if converged_result is not None:
-            solved["converged"] = converged_result
-        for key, (d, report) in solved.items():
-            j_hat = float(report.cost_trace[-1])
-            j_tilde = float(report.cost_trace[0])
-            if j_hat > j_tilde:
-                raise AuditError(
-                    f"cost-decrease audit failed at t={t}, series {key}: "
-                    f"{j_hat} > {j_tilde}"
-                )
-            estimates[key][t] = rollout(problem, d).states[-1]
-            accepted[key][t] = j_hat
-            iterations[key][t] = report.iterations_used
-        for hi, lo in zip(ordered[1:], ordered[:-1]):
-            if accepted[hi][t] > accepted[lo][t]:
-                raise AuditError(f"budget ordering audit failed at t={t}: {hi} vs {lo}")
-        candidate_costs[t] = float(next(iter(solved.values()))[1].cost_trace[0])
+    solved = solve_windows(problems, candidates, stops)
+
+    # audits over (window, stop), stops ascending; the first failing t is named
+    order = np.argsort(stops, kind="stable")
+    costs = solved.cost[:, order]
+    rises, unordered = costs > solved.traces[0][:, None], costs[:, 1:] > costs[:, :-1]
+    failed = np.flatnonzero(rises.any(axis=1) | unordered.any(axis=1))
+    if failed.size:
+        j = failed[0]
+        if rises[j].any():
+            i = np.argmax(rises[j])
+            raise AuditError(
+                f"cost-decrease audit failed at t={j + 1}, series {keys[order[i]]}: "
+                f"{float(costs[j, i])} > {float(solved.traces[0][j])}"
+            )
+        i = np.argmax(unordered[j])
+        raise AuditError(
+            f"budget ordering audit failed at t={j + 1}: {keys[order[i + 1]]} vs {keys[order[i]]}"
+        )
+
+    # row t of each series is window t - 1's result; row 0 is t = 0
+    candidate_costs = np.concatenate(([0.0], solved.traces[0]))
+    estimates, accepted, iterations = {}, {}, {}
+    for key, k in {key: k for k, key in enumerate(keys)}.items():
+        ends = [rollout(p, solved.result(j, k)[0]).states[-1] for j, p in enumerate(problems)]
+        estimates[key] = np.array([cfg.z0, *ends], dtype=np.float64)
+        accepted[key] = np.concatenate(([0.0], solved.cost[:, k]))
+        iterations[key] = np.concatenate(([0], solved.iterations[:, k]))
 
     rmse_table = {k: rmse(truth.states, estimates[k]) for k in keys}
     return RunResult(

@@ -45,14 +45,14 @@ class CostSpec:
     the Gauss-Newton direction; the gradient callables are required for
     gradient-based solving of non-quadratic costs.
 
-    The stage maps act on stages stacked along leading axes: for omega of
-    shape (..., n) and nu of shape (..., p), ``stage`` returns (...),
-    ``stage_grad_w`` (..., n) and ``stage_grad_v`` (..., p). ``gamma`` and
-    ``gamma_grad`` take one window's (chi, prior).
+    The maps act on arrays stacked along leading axes: for omega and chi of
+    shape (..., n) and nu of shape (..., p), ``stage`` and ``gamma`` return
+    (...), ``stage_grad_w`` and ``gamma_grad`` (..., n) and ``stage_grad_v``
+    (..., p); ``gamma``'s prior is shaped like chi.
     """
 
-    gamma: Callable[[np.ndarray, np.ndarray], float]
-    stage: Callable[[np.ndarray, np.ndarray], float]
+    gamma: Callable[[np.ndarray, np.ndarray], np.ndarray]
+    stage: Callable[[np.ndarray, np.ndarray], np.ndarray]
     a: float
     c_p_lo: float
     c_p_hi: float
@@ -100,8 +100,8 @@ def quadratic_cost(
     v_lo, v_hi = _eig_range(v, "noise")
 
     def gamma(chi, prior):
-        d = chi - prior
-        return float(d @ (p @ d))
+        d = (chi - prior)[..., None]
+        return (d.swapaxes(-1, -2) @ (p @ d))[..., 0, 0]  # d'(P d), window by window
 
     def stage(om, nu):
         return np.sum(om * (om @ w.T), axis=-1) + np.sum(nu * (nu @ v.T), axis=-1)
@@ -116,7 +116,7 @@ def quadratic_cost(
         c_w_hi=w_hi,
         c_v_lo=v_lo,
         c_v_hi=v_hi,
-        gamma_grad=lambda chi, prior: 2.0 * (p @ (chi - prior)),
+        gamma_grad=lambda chi, prior: 2.0 * (p @ (chi - prior)[..., None])[..., 0],
         stage_grad_w=lambda om, nu: 2.0 * (om @ w.T),
         stage_grad_v=lambda om, nu: 2.0 * (nu @ v.T),
         quad=quad,
@@ -262,7 +262,7 @@ def _forward_pass(stack: WindowStack, chi0, omegas):
     outputs = _stacked("h", model.h(states[:, :-1]), (b, m, model.p))
     resids = stack.measurements - outputs
     stage = _stacked("stage", cost.stage(omegas, resids), (b, m))
-    prior = np.array([float(cost.gamma(c, p)) for c, p in zip(chi0, stack.prior)])
+    prior = _stacked("gamma", cost.gamma(chi0, stack.prior), (b,))
     return states, resids, prior + np.sum(stage, axis=-1)
 
 

@@ -27,14 +27,14 @@ the iterate returned. One call of each model Jacobian on the pass's stacked
 states serves both the gradient and the direction; the iterate a solve
 stops at is not evaluated.
 
-Windows are solved as stacks. ``solve_windows`` takes many windows; those
-that share a model, cost and length M run one iteration loop together,
-every step an array operation over a leading window axis (the Riccati
-stages solve (B, n, n) stacks). Each window keeps its own step size,
-spectral pair, cost trace and stopping state, and leaves the stack when it
-converges or its line search fails, so each window's result at every
-budget is what its own solve returns. ``solve_with_checkpoints`` and
-``solve_suboptimal`` are stacks of one through the same loop.
+Windows are solved as stacks. ``solve_windows`` takes many windows and
+their stops (budgets); those that share a model, cost and length M run one
+iteration loop together, every step an array operation over a leading
+window axis (the Riccati stages solve (B, n, n) stacks). Each window keeps
+its own step size, spectral pair, cost trace and stopping state, and leaves
+the stack when it stops, so its result at every stop, one (window, stop)
+entry of a ``WindowSolutions``, is what its own solve returns.
+``solve_with_checkpoints`` and ``solve_suboptimal`` read a stack of one.
 """
 
 from __future__ import annotations
@@ -186,7 +186,7 @@ def _gradient(stack: WindowStack, chi0, omegas, resids, a, c):
     for i in range(len(at) - 1, -1, -1):
         g_stages[i] += lam
         lam = at[i] @ lam - ct_g_nu[i]
-    gamma_grad = np.array([cost.gamma_grad(x, p) for x, p in zip(chi0, stack.prior)])
+    gamma_grad = _stacked("gamma_grad", cost.gamma_grad(chi0, stack.prior), chi0.shape)
     g_chi = gamma_grad + lam.reshape(chi0.shape)
     if not (np.all(np.isfinite(g_chi)) and np.all(np.isfinite(g_om))):
         raise NumericsError("cost gradient is non-finite")
@@ -335,36 +335,43 @@ def _projected_gradient_norm(model, chi0, omegas, g_chi, g_om) -> np.ndarray:
         return np.sqrt(_inner(step_chi, step_chi) + _inner(step_om, step_om))
 
 
-def _solve_core(
-    problems: Sequence[HorizonProblem],
-    candidates: Sequence[DecisionVector],
-    budgets: Sequence[int],
-) -> list[dict[int, tuple[DecisionVector, IterationReport]]]:
-    """Each window's packed result at each budget, in input order. Windows
-    that share a model, cost and length M are solved as one stack."""
-    if len(problems) != len(candidates):
-        raise ValueError("need one candidate per window problem")
-    groups: dict[tuple, list[int]] = {}
-    for j, (problem, candidate) in enumerate(zip(problems, candidates)):
-        _check_dims(problem, candidate)
-        key = (id(problem.model), id(problem.cost), problem.horizon)
-        groups.setdefault(key, []).append(j)
-    results = [{} for _ in problems]
-    for rows in groups.values():
-        solved = _solve_stack([problems[j] for j in rows], [candidates[j] for j in rows], budgets)
-        for j, result in zip(rows, solved):
-            results[j] = result
-    return results
+@dataclass(frozen=True, eq=False)
+class WindowSolutions:
+    """B windows solved to K stops (budgets), indexed by window j and stop
+    k: ``chi`` (B, K, n), ``omegas`` (B, K, M_max, n) zero past each
+    ``horizons[j]``, and ``cost``, ``iterations`` and ``converged`` (B, K).
+    ``traces[s]`` (B,) is each window's cost after step s (the warm start at
+    s = 0), NaN where it took fewer. Every iterate passed the feasibility
+    check that admitted it, so its violation beyond tolerance is zero."""
+
+    candidates: tuple[DecisionVector, ...]
+    horizons: np.ndarray
+    chi: np.ndarray
+    omegas: np.ndarray
+    cost: np.ndarray
+    iterations: np.ndarray
+    converged: np.ndarray
+    traces: list[np.ndarray]
+
+    def result(self, j: int, k: int) -> tuple[DecisionVector, IterationReport]:
+        """What ``solve_suboptimal`` returns on window j alone with budget
+        ``stops[k]``: the candidate itself after zero steps."""
+        steps = int(self.iterations[j, k])
+        d = self.candidates[j]
+        if steps:
+            d = DecisionVector(self.chi[j, k], self.omegas[j, k, : self.horizons[j]])
+        trace = np.array([costs[j] for costs in self.traces[: steps + 1]])
+        return d, IterationReport(steps, trace, bool(self.converged[j, k]), 0.0)
 
 
-def _solve_stack(problems, candidates, budgets):
+def _solve_stack(problems, candidates, stops, rows, out: WindowSolutions) -> None:
     """The one iteration loop: runs the iterate paths of a stack of windows
-    from their warm starts to the largest budget and returns each window's
-    packed result at each budget.
+    to the largest stop, writing each one's result at every stop to ``out``
+    at its row in ``rows``.
 
     Row r of the stack and its arrays is window ``ids[r]``. A window leaves
     the stack when it stops (converged, or a failed line search), so every row
-    has taken the same number of steps, and a budget past a window's stop
+    has taken the same number of steps, and a stop past a window's last step
     gets its last iterate.
     """
     stack = WindowStack.of(problems)
@@ -379,54 +386,71 @@ def _solve_stack(problems, candidates, budgets):
                 f"candidate of window [{problem.start}, {problem.start + problem.horizon}) "
                 f"violates the window constraints by {violation:.3e}"
             )
-    if max(budgets, default=0) > 0:
+    if max(stops, default=0) > 0:
         _require_gradients(problems[0])
 
     ids = np.arange(len(problems))
-    decisions = list(candidates)
-    traces = [[c] for c in x.cost.tolist()]  # warm-start cost, then one per step
-    converged = [False] * len(problems)
+    # each window's latest iterate and cost, steps taken and stopping state
+    chi, om, cost = chi.copy(), om.copy(), x.cost.copy()
+    iterations, converged = np.zeros(len(ids), dtype=np.int64), np.zeros(len(ids), dtype=bool)
+    out.traces[0][rows] = cost
     prev = None
-    results = [{} for _ in problems]
     steps = 0  # taken by every row
     # The gradient and direction are evaluated at the top of each iteration,
-    # so none is spent on the iterate a budget or COST_TOL stops at.
-    for budget in sorted(set(budgets)):
-        while ids.size and steps < budget:
+    # so none is spent on the iterate a stop or COST_TOL stops at.
+    for k in np.argsort(stops, kind="stable"):
+        while ids.size and steps < stops[k]:
             dir_chi, dir_om, g_chi, g_om, gn = _evaluate(stack, x)
             pg = _projected_gradient_norm(stack.model, x.chi, x.omegas, g_chi, g_om)
             moving = pg > CONVERGENCE_TOL
             step = _first_steps(x, g_chi, g_om, gn, prev)
             found, nxt = _linesearch(stack, x, dir_chi, dir_om, g_chi, g_om, step, moving)
             now_converged = ~moving | (found & (x.cost - nxt.cost <= COST_TOL))
-            for r in np.flatnonzero(found):
-                j = ids[r]
-                decisions[j] = DecisionVector(nxt.chi[r], nxt.omegas[r])
-                traces[j].append(float(nxt.cost[r]))
-            for j in ids[now_converged]:
-                converged[j] = True
+            taken = ids[found]
+            chi[taken], om[taken] = nxt.chi[found], nxt.omegas[found]
+            cost[taken] = nxt.cost[found]
+            iterations[taken] += 1
+            converged[ids[now_converged]] = True
+            steps += 1
+            if len(out.traces) == steps:
+                out.traces.append(np.full(len(out.cost), np.nan))
+            out.traces[steps][rows[taken]] = nxt.cost[found]
             # rows that converged or failed their line search stop here
             keep = found & ~now_converged
             ids, stack = _rows(ids, keep), stack.take(keep)
             prev = _rows(_Previous(x.chi, x.omegas, g_chi, g_om), keep)
             x = _rows(nxt, keep)
-            steps += 1
-        for j, result in enumerate(results):
-            result[budget] = _pack(decisions[j], traces[j], converged[j])
-    return results
+        out.chi[rows, k], out.omegas[rows, k, : om.shape[1]], out.cost[rows, k] = chi, om, cost
+        out.iterations[rows, k], out.converged[rows, k] = iterations, converged
 
 
-def _pack(d, trace, converged) -> tuple[DecisionVector, IterationReport]:
-    """Result at an iterate. Every iterate passed the feasibility check that
-    admitted it (the entry check for the warm start), so its violation
-    beyond ``FEASIBILITY_TOL`` is zero."""
-    report = IterationReport(
-        iterations_used=len(trace) - 1,
-        cost_trace=np.asarray(trace, dtype=np.float64),
-        converged=converged,
-        feasibility_residual=0.0,
+def solve_windows(
+    problems: Sequence[HorizonProblem],
+    candidates: Sequence[DecisionVector],
+    stops: Sequence[int],
+) -> WindowSolutions:
+    """Many windows solved to every stop (iteration budget) in ``stops`` as
+    one array program. Column k of the result is ``stops[k]``, and
+    ``result(j, k)`` is exactly what ``solve_suboptimal`` returns on window
+    j alone with that budget."""
+    if len(problems) != len(candidates):
+        raise ValueError("need one candidate per window problem")
+    groups: dict[tuple, list[int]] = {}
+    for j, (problem, candidate) in enumerate(zip(problems, candidates)):
+        _check_dims(problem, candidate)
+        key = (id(problem.model), id(problem.cost), problem.horizon)
+        groups.setdefault(key, []).append(j)
+    b, k, n = len(problems), len(stops), problems[0].model.n if problems else 0
+    horizons = np.array([p.horizon for p in problems], dtype=np.int64)
+    out = WindowSolutions(
+        tuple(candidates), horizons, np.empty((b, k, n)),
+        np.zeros((b, k, horizons.max(initial=0), n)), np.empty((b, k)),
+        np.empty((b, k), dtype=np.int64), np.empty((b, k), dtype=bool), [np.empty(b)],
     )
-    return d, report
+    for rows in groups.values():
+        _solve_stack([problems[j] for j in rows], [candidates[j] for j in rows], stops,
+                     np.array(rows), out)
+    return out
 
 
 def solve_suboptimal(
@@ -436,31 +460,7 @@ def solve_suboptimal(
     fewer when the projected-gradient norm or the per-iteration cost
     decrease falls below tolerance; with a zero budget the candidate is
     returned unchanged."""
-    budget = cfg.max_iterations
-    return _solve_core([problem], [candidate], (budget,))[0][budget]
-
-
-def solve_windows(
-    problems: Sequence[HorizonProblem],
-    candidates: Sequence[DecisionVector],
-    cfg: SolverConfig,
-    budgets: Sequence[int],
-    converged: bool = True,
-) -> list[tuple[dict, tuple | None]]:
-    """``solve_with_checkpoints`` on many windows as one array program.
-
-    Returns, for each window in input order, exactly what
-    ``solve_with_checkpoints`` returns on it alone. Windows that share a
-    model, cost and length M iterate together as one stack; each keeps its
-    own step size, spectral pair, cost trace and stopping state, and leaves
-    the stack when it stops.
-    """
-    stops = (*budgets, cfg.max_iterations) if converged else tuple(budgets)
-    out = []
-    for results in _solve_core(problems, candidates, stops):
-        per_budget = {b: results[b] for b in sorted(set(budgets))}
-        out.append((per_budget, results[cfg.max_iterations] if converged else None))
-    return out
+    return solve_windows([problem], [candidate], (cfg.max_iterations,)).result(0, 0)
 
 
 def solve_with_checkpoints(
@@ -476,7 +476,11 @@ def solve_with_checkpoints(
     budget b is identical to a standalone ``solve_suboptimal`` run with
     ``max_iterations=b``. The converged result is the snapshot at
     ``cfg.max_iterations``. Returns (per-budget dict, converged result or
-    None). Results at budgets the path stops short of share one decision
-    (the candidate itself at zero steps), so treat them as read-only.
+    None). Results after zero steps are the candidate itself, so treat them
+    as read-only.
     """
-    return solve_windows([problem], [candidate], cfg, budgets, converged)[0]
+    ordered = sorted(set(budgets))
+    stops = (*ordered, cfg.max_iterations) if converged else ordered
+    solved = solve_windows([problem], [candidate], stops)
+    results = [solved.result(0, k) for k in range(len(stops))]
+    return dict(zip(ordered, results)), (results[-1] if converged else None)

@@ -136,7 +136,7 @@ class TestSuboptimalCostBound:
     def test_bad_times_rejected(self):
         rc = RgesConstants(1.0, 1.0, 1.0, 0.5)
         w, v = np.zeros((5, 2)), np.zeros((5, 1))
-        for t in (np.arange(3, 7), np.zeros((2, 2), dtype=int), 1.5):
+        for t in (np.arange(3, 7), np.zeros((2, 2), dtype=int), 1.5, -1, np.array([-25])):
             with pytest.raises(ValueError):
                 suboptimal_cost_bound(unit_cbc(), rc, 3, t, 1.0, w, v)
 

@@ -3,6 +3,7 @@ import json
 import os
 import subprocess
 import sys
+from dataclasses import replace
 from pathlib import Path
 
 import numpy as np
@@ -200,6 +201,7 @@ class TestErrorPaths:
             {"dt": -1},
             {"process_cov": [[1, 2], [2, 1]]},
             {"observer_gain": [0.5]},
+            {"observer_gain": [0, 0]},
             {"horizon": 0},
             {"budgets": [], "include_converged": False},
             {"solver": {"initial_step": -1}},
@@ -268,35 +270,29 @@ class TestErrorPaths:
         "command, trace, message",
         [
             # every accepted cost above its warm start
-            ("estimate", lambda b: [1.0, 2.0], "cost-decrease audit failed"),
+            ("estimate", lambda k: [1.0, 2.0], "cost-decrease audit failed"),
             # each cost below its warm start, but budget 2 above budget 0
-            ("reproduce-figure", lambda b: [10.0, float(b)],
+            ("reproduce-figure", lambda k: [10.0, float(k)],
              "budget ordering audit failed"),
-            ("estimate", lambda b: [10.0, float(b)], "budget ordering audit failed"),
-            ("analyze", lambda b: [10.0, float(b)], "budget ordering audit failed"),
+            ("estimate", lambda k: [10.0, float(k)], "budget ordering audit failed"),
+            ("analyze", lambda k: [10.0, float(k)], "budget ordering audit failed"),
         ],
     )
     def test_audit_failure_is_one_line_exit_3(
         self, config_file, tmp_path, capsys, monkeypatch, command, trace, message
     ):
-        def solve(problem, candidate, cfg, budgets, converged=True):
-            def result(b):
-                report = mk.IterationReport(
-                    iterations_used=1, cost_trace=np.array(trace(b)),
-                    converged=False, feasibility_residual=0.0,
-                )
-                return candidate, report
+        real_solve_windows = mk.harness.solve_windows
 
-            return {b: result(b) for b in budgets}, None
-
-        def solve_windows(problems, candidates, cfg, budgets, converged=True):
-            # windows up to t = 3 are solved for real, so t = 4 fails first
-            return [
-                (mk.solve_with_checkpoints if p.start + p.horizon < 4 else solve)(
-                    p, c, cfg, budgets, converged
-                )
-                for p, c in zip(problems, candidates)
-            ]
+        def solve_windows(problems, candidates, stops):
+            # windows up to t = 3 keep their real costs, so t = 4 fails first;
+            # the later ones get the warm-start and accepted costs of ``trace``
+            # at each stop's column
+            solved = real_solve_windows(problems, candidates, stops)
+            late = np.array([p.start + p.horizon >= 4 for p in problems])
+            warm_start, cost = solved.traces[0].copy(), solved.cost.copy()
+            warm_start[late] = trace(0)[0]
+            cost[late] = [trace(k)[-1] for k in range(len(stops))]
+            return replace(solved, traces=[warm_start, *solved.traces[1:]], cost=cost)
 
         monkeypatch.setattr(mk.harness, "solve_windows", solve_windows)
         rc = main([command, "--config", config_file, "--out", str(tmp_path / "o")])

@@ -232,10 +232,8 @@ class TestGaussNewtonDirection:
             for t in (5, *range(12, 21), 7)
         ]
         candidates = [mk.build_candidate(olog, p.start, p.horizon) for p in problems]
-        solved = mk.solve_windows(
-            problems, candidates, mk.SolverConfig(), (2,), converged=False
-        )
-        assert [res[2][1].iterations_used for res, _ in solved] == [2] * len(problems)
+        solved = mk.solve_windows(problems, candidates, (2,))
+        assert solved.iterations.tolist() == [[2]] * len(problems)
         assert calls == [(1, 5, 2)] * 2 + [(9, 10, 2)] * 2 + [(1, 7, 2)] * 2
 
     def test_forward_pass_maps_output_and_stage_once(self, window, monkeypatch):
@@ -300,12 +298,21 @@ class TestMapShapes:
             ("h", lambda x: np.array([[1.0, 0.5]]) @ x),
             ("f_jac", lambda x: np.array([[0.9, 0.1], [0.05, 0.8]])),
             ("h_jac", lambda x: np.array([[1.0, 0.5]])),
+            # the prior maps, written for one window's (chi, prior): summed
+            # over the stack, () instead of (1,), and P d as a column, (2, 1)
+            # instead of (1, 2)
+            ("gamma", lambda chi, prior: np.sum((chi - prior) ** 2)),
+            ("gamma_grad", lambda chi, prior: 2.0 * (np.eye(2) @ (chi - prior).T)),
         ],
     )
     def test_map_written_for_one_state_is_named(self, name, single_state_map):
-        model = replace(linear_model(), **{name: single_state_map})
+        model, cost = linear_model(), mk.quadratic_cost(np.eye(2), [[1.0]])
+        if name.startswith("gamma"):
+            cost = replace(cost, **{name: single_state_map})
+        else:
+            model = replace(model, **{name: single_state_map})
         problem = mk.HorizonProblem(
-            model=model, cost=mk.quadratic_cost(np.eye(2), [[1.0]]), horizon=2,
+            model=model, cost=cost, horizon=2,
             prior=np.zeros(2), measurements=np.ones((2, 1)),
         )
         candidate = mk.DecisionVector(np.ones(2), np.zeros((2, 2)))

@@ -30,7 +30,7 @@ def smooth_l1_cost() -> mk.CostSpec:
         )
 
     return mk.CostSpec(
-        gamma=lambda chi, prior: float((chi - prior) @ (chi - prior)),
+        gamma=lambda chi, prior: np.sum((chi - prior) ** 2, axis=-1),
         stage=stage,
         a=2.0, c_p_lo=1.0, c_p_hi=1.0, c_w_lo=w, c_w_hi=w, c_v_lo=v, c_v_hi=v,
         gamma_grad=lambda chi, prior: 2.0 * (chi - prior),
@@ -146,31 +146,27 @@ def bounded_windows(seed: int, horizons, margin: float, cost: mk.CostSpec):
 
 BUDGETS = (0, 1, 2, 5)
 STACK_CFG = mk.SolverConfig(max_iterations=20)  # caps the converged result
-
-
-def close(got, expected) -> bool:
-    got, expected = np.asarray(got), np.asarray(expected)
-    return got.shape == expected.shape and np.linalg.norm(got - expected) <= 1e-12 * np.linalg.norm(
-        expected
-    )
+STOPS = (*BUDGETS, STACK_CFG.max_iterations)
 
 
 def assert_each_matches_alone(problems, candidates):
-    """Every window's results from one stacked solve equal its own solve."""
-    solved = mk.solve_windows(problems, candidates, STACK_CFG, BUDGETS)
-    assert len(solved) == len(problems)
-    for problem, candidate, (per_budget, final) in zip(problems, candidates, solved):
+    """Every window's results from one stacked solve equal its own solve,
+    bit for bit, and its columns agree with its results."""
+    solved = mk.solve_windows(problems, candidates, STOPS)
+    assert solved.cost.shape == (len(problems), len(STOPS))
+    for j, (problem, candidate) in enumerate(zip(problems, candidates)):
         alone, alone_final = mk.solve_with_checkpoints(problem, candidate, STACK_CFG, BUDGETS)
-        assert list(per_budget) == list(alone) == list(BUDGETS)
-        for (d, report), (d_alone, report_alone) in zip(
-            [*per_budget.values(), final], [*alone.values(), alone_final]
-        ):
-            assert report.iterations_used == report_alone.iterations_used
-            assert report.converged == report_alone.converged
+        assert list(alone) == list(BUDGETS)
+        for k, (d_alone, report_alone) in enumerate([*alone.values(), alone_final]):
+            d, report = solved.result(j, k)
+            assert report.iterations_used == report_alone.iterations_used == solved.iterations[j, k]
+            assert report.converged == report_alone.converged == solved.converged[j, k]
             assert report.feasibility_residual == report_alone.feasibility_residual
-            assert close(report.cost_trace, report_alone.cost_trace)
-            assert close(d.chi0, d_alone.chi0)
-            assert close(d.omegas, d_alone.omegas)
+            assert np.array_equal(report.cost_trace, report_alone.cost_trace)
+            assert report.cost_trace[-1] == solved.cost[j, k]
+            assert np.array_equal(d.chi0, d_alone.chi0)
+            assert np.array_equal(d.omegas, d_alone.omegas)
+            assert not solved.omegas[j, k, problem.horizon:].any()  # padding
     return solved
 
 
@@ -205,6 +201,7 @@ def test_early_stops_beside_continuing_windows(monkeypatch):
     problems, candidates = bounded_windows(2, [4] * 5, 0.05, COSTS["quadratic"])
     monkeypatch.setattr(mk.solver, "MAX_BACKTRACKS", 0)
     solved = assert_each_matches_alone(problems, candidates)
-    outcomes = [(res[5][1].iterations_used, res[5][1].converged) for res, _ in solved]
+    k = STOPS.index(5)
+    outcomes = list(zip(solved.iterations[:, k].tolist(), solved.converged[:, k].tolist()))
     assert outcomes == [(0, True), (0, False), (2, False), (5, False), (5, True)]
-    assert solved[0][0][5][0] is candidates[0] and solved[1][0][5][0] is candidates[1]
+    assert solved.result(0, k)[0] is candidates[0] and solved.result(1, k)[0] is candidates[1]
