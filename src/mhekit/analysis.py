@@ -361,7 +361,10 @@ def rmse(truth, estimates) -> RmseResult:
     xe = np.atleast_2d(np.asarray(estimates, dtype=np.float64))
     if xt.shape != xe.shape:
         raise ValueError("truth and estimate trajectories differ in shape")
-    diff = xt - xe
-    per = np.sqrt(np.mean(diff**2, axis=0))
-    agg = float(np.sqrt(np.mean(np.sum(diff**2, axis=1))))
+    with np.errstate(over="ignore", invalid="ignore"):  # checked below
+        diff = xt - xe
+        per = np.sqrt(np.mean(diff**2, axis=0))
+        agg = float(np.sqrt(np.mean(np.sum(diff**2, axis=1))))
+    if not np.isfinite(agg):
+        raise NumericsError("estimation error overflows the RMSE")
     return RmseResult(per_component=per, aggregate=agg)

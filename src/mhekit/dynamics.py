@@ -64,11 +64,8 @@ class BoxSet:
         excess = np.maximum(self.lower - rows, rows - self.upper)
         return np.max(np.maximum(excess, 0.0), axis=-1, initial=0.0)
 
-    def violation(self, x) -> float:
-        return float(self.row_violations(x))
-
     def contains(self, x, tol: float = 0.0) -> bool:
-        return self.violation(x) <= tol
+        return bool(self.row_violations(x) <= tol)
 
     def project(self, x) -> np.ndarray:
         return np.clip(np.asarray(x, dtype=np.float64), self.lower, self.upper)
@@ -299,8 +296,7 @@ def draw_noise(
     v = rng.standard_normal((steps, spec.covariance_v.shape[0])) @ factor_v.T
     if clip_to is not None:
         w_set, v_set = clip_to
-        w_clipped = np.clip(w, w_set.lower, w_set.upper)
-        v_clipped = np.clip(v, v_set.lower, v_set.upper)
+        w_clipped, v_clipped = w_set.project(w), v_set.project(v)
         n_clipped = int(np.sum(np.any(w_clipped != w, axis=1))) + int(
             np.sum(np.any(v_clipped != v, axis=1))
         )

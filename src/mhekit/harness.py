@@ -105,14 +105,16 @@ class ExperimentConfig:
         n, p = model.n, model.p
         for name in ("x0", "z0", "observer_gain"):
             _numeric(self, name, (n,))
-        try:
-            build_observer(self)
-        except ValueError as exc:  # a zero gain bounds no correction
-            raise ConfigError(f"bad observer: {exc}") from exc
         for name, dim in (("process_cov", n), ("output_cov", p)):
             cov = _numeric(self, name, (dim, dim))
             if not np.array_equal(cov, cov.T) or np.linalg.eigvalsh(cov)[0] <= 0:
                 raise ConfigError(f"{name} must be symmetric positive definite")
+        # a zero gain bounds no correction; a tiny covariance has an overflowing inverse
+        for what, build in (("observer", build_observer), ("cost", build_cost)):
+            try:
+                build(self)
+            except ValueError as exc:
+                raise ConfigError(f"bad {what}: {exc}") from exc
 
     def to_dict(self) -> dict:
         return asdict(self)

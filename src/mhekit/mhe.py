@@ -32,6 +32,8 @@ class QuadWeights:
             m = np.ascontiguousarray(getattr(self, name), dtype=np.float64)
             if m.ndim != 2 or m.shape[0] != m.shape[1]:
                 raise ValueError(f"{name} weight must be a square matrix")
+            if not np.all(np.isfinite(m)):
+                raise ValueError(f"{name} weight must be finite")
             object.__setattr__(self, name, m)
 
 
@@ -236,20 +238,22 @@ class WindowStack:
             np.array([p.measurements for p in problems]),
         )
 
-    def take(self, mask) -> "WindowStack":
-        """The windows where ``mask`` is set (the stack itself for all)."""
-        if mask.all():
+    def take(self, rows) -> "WindowStack":
+        """The windows at the ascending indices ``rows`` (the stack itself
+        for all of them)."""
+        if len(rows) == len(self.prior):
             return self
-        return WindowStack(self.model, self.cost, self.prior[mask], self.measurements[mask])
+        return WindowStack(self.model, self.cost, self.prior[rows], self.measurements[rows])
 
 
 def _forward_pass(stack: WindowStack, chi0, omegas):
     """States (B, M+1, n), eliminated residuals (B, M, p) and costs (B,) of
     the stacked decisions (chi0, omegas), unchecked.
 
-    The one window evaluation: the public functions and the solver all use
-    it, and a caller that needs finite values checks them itself. Only ``f``
-    runs stage by stage; ``h`` and ``stage`` see every window at once.
+    The one window evaluation: ``_checked_pass`` wraps it for the public
+    functions and the solver's entry, and the line search, which rejects a
+    non-finite trial instead, calls it directly. Only ``f`` runs stage by
+    stage; ``h`` and ``stage`` see every window at once.
     """
     model, cost = stack.model, stack.cost
     b, m = omegas.shape[:2]
@@ -266,42 +270,44 @@ def _forward_pass(stack: WindowStack, chi0, omegas):
     return states, resids, prior + np.sum(stage, axis=-1)
 
 
+def _checked_pass(stack: WindowStack, chi0, omegas):
+    """``_forward_pass``, raising ``NumericsError`` when a window's states or
+    cost are not all finite, overflow included."""
+    with np.errstate(over="ignore", invalid="ignore"):
+        states, resids, cost = _forward_pass(stack, chi0, omegas)
+    if not (np.all(np.isfinite(states)) and np.all(np.isfinite(cost))):
+        raise NumericsError("window rollout produced non-finite values")
+    return states, resids, cost
+
+
+def _violation_rows(model: SystemModel, omegas, states, resids) -> np.ndarray:
+    """Bound excess beyond ``FEASIBILITY_TOL`` at each stage of the stacked
+    windows, (B, M+1, 3): per stage i, the state x(i), the disturbance w(i)
+    and the residual nu(i); 0 within tolerance and for the missing w(M) and
+    nu(M). Every admission test reads this one array."""
+    m = omegas.shape[1]
+    rows = np.zeros(states.shape[:2] + (3,))
+    rows[..., 0] = model.state_set.row_violations(states)
+    rows[:, :m, 1] = model.disturbance_set.row_violations(omegas)
+    rows[:, :m, 2] = model.noise_set.row_violations(resids)
+    return np.where(rows > FEASIBILITY_TOL, rows, 0.0)
+
+
 def _feasibility(model: SystemModel, omegas, states, resids) -> np.ndarray:
-    """Largest violation above ``FEASIBILITY_TOL`` of each stacked window's
-    states, residuals and the disturbances that produced them; 0 for a
-    feasible window."""
-    rows = np.concatenate(
-        [
-            model.state_set.row_violations(states),
-            model.disturbance_set.row_violations(omegas),
-            model.noise_set.row_violations(resids),
-        ],
-        axis=-1,
-    )
-    return np.max(rows, axis=-1, initial=0.0, where=rows > FEASIBILITY_TOL)
-
-
-def _window_pass(problem: HorizonProblem, d: DecisionVector):
-    """``_forward_pass`` of one window's decision, as a stack of one."""
-    _check_dims(problem, d)
-    return _forward_pass(WindowStack.of([problem]), d.chi0[None], d.omegas[None])
+    """Largest violation of each stacked window; 0 for a feasible window."""
+    return _violation_rows(model, omegas, states, resids).max(axis=(1, 2))
 
 
 def rollout(problem: HorizonProblem, d: DecisionVector) -> WindowRollout:
     """Single-shooting forward pass with the eliminated residuals and cost."""
-    states, resids, cost = _window_pass(problem, d)
-    ro = WindowRollout(states=states[0], residuals=resids[0], cost=float(cost[0]))
-    if not (np.all(np.isfinite(ro.states)) and np.isfinite(ro.cost)):
-        raise NumericsError("window rollout produced non-finite values")
-    return ro
+    _check_dims(problem, d)
+    states, resids, cost = _checked_pass(WindowStack.of([problem]), d.chi0[None], d.omegas[None])
+    return WindowRollout(states=states[0], residuals=resids[0], cost=float(cost[0]))
 
 
 def eval_cost(problem: HorizonProblem, d: DecisionVector) -> float:
     """Prior term plus the stage-cost sum over the window."""
-    value = float(_window_pass(problem, d)[2][0])
-    if not np.isfinite(value):
-        raise NumericsError("window cost is non-finite")
-    return value
+    return rollout(problem, d).cost
 
 
 def build_candidate(olog: ObserverLog, start: int, horizon: int) -> DecisionVector:
@@ -352,21 +358,12 @@ def advance_window(
 
 
 def check_feasible(problem: HorizonProblem, d: DecisionVector) -> FeasibilityReport:
-    """Set membership of all window states, disturbances and residuals."""
+    """Set membership of all window states, disturbances and residuals;
+    ``violations`` lists (stage, kind, excess) in stage order."""
     ro = rollout(problem, d)
-    model = problem.model
-    state = model.state_set.row_violations(ro.states)
-    disturbance = model.disturbance_set.row_violations(d.omegas)
-    residual = model.noise_set.row_violations(ro.residuals)
-    violations = [
-        (i, "state", float(a)) for i, a in enumerate(state) if a > FEASIBILITY_TOL
-    ]
-    for i in range(problem.horizon):
-        if disturbance[i] > FEASIBILITY_TOL:
-            violations.append((i, "disturbance", float(disturbance[i])))
-        if residual[i] > FEASIBILITY_TOL:
-            violations.append((i, "residual", float(residual[i])))
-    worst = max((v[2] for v in violations), default=0.0)
+    rows = _violation_rows(problem.model, d.omegas[None], ro.states[None], ro.residuals[None])[0]
+    kinds = ("state", "disturbance", "residual")
+    violations = tuple((int(i), kinds[k], float(rows[i, k])) for i, k in np.argwhere(rows > 0.0))
     return FeasibilityReport(
-        feasible=not violations, max_violation=worst, violations=tuple(violations)
+        feasible=not violations, max_violation=float(rows.max()), violations=violations
     )

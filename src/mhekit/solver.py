@@ -20,12 +20,16 @@ snapshot at ``max_iterations``. That cap is the only setting; the Armijo
 constant, step halving, first step and stopping tolerances are the module
 constants below, since the never-worse guarantee does not depend on them.
 
-Each iterate is evaluated by one forward pass: the accepted line-search
-trial's states and residuals feed the next gradient and Gauss-Newton
-direction, and the feasibility check that accepted the trial vouches for
-the iterate returned. One call of each model Jacobian on the pass's stacked
-states serves both the gradient and the direction; the iterate a solve
-stops at is not evaluated.
+A point is admitted in one place: ``mhe._checked_pass`` rejects a
+non-finite window (the candidates at entry, ``rollout``, ``eval_cost``,
+``cost_gradient``), and ``mhe._violation_rows`` holds the bound excess of
+every stage, which the entry check, each line-search round and
+``check_feasible`` read. Each iterate is evaluated by one forward pass: the
+accepted line-search trial's states and residuals feed the next gradient
+and Gauss-Newton direction, and the check that admitted the trial vouches
+for the iterate returned. One call of each model Jacobian on the pass's
+stacked states serves both the gradient and the direction; the iterate a
+solve stops at is not evaluated.
 
 Windows are solved as stacks. ``solve_windows`` takes many windows and
 their stops (budgets); those that share a model, cost and length M run one
@@ -50,6 +54,7 @@ from .mhe import (
     HorizonProblem,
     WindowStack,
     _check_dims,
+    _checked_pass,
     _feasibility,
     _forward_pass,
     _batch,
@@ -113,17 +118,6 @@ class _Previous(NamedTuple):
     omegas: np.ndarray
     g_chi: np.ndarray
     g_om: np.ndarray
-
-
-def _rows(values, mask):
-    """The rows where ``mask`` is set of an array, or of every array of an
-    ``_Iterates`` or ``_Previous``; the values themselves when it is set
-    everywhere."""
-    if mask.all():
-        return values
-    if isinstance(values, tuple):
-        return type(values)(*(v[mask] for v in values))
-    return values[mask]
 
 
 def _inner(u, v) -> np.ndarray:
@@ -284,53 +278,42 @@ def _linesearch(stack: WindowStack, x: _Iterates, dir_chi, dir_om, g_chi, g_om, 
     """For each ``pending`` row, the first projected trial along its
     direction from its first ``step`` that stays feasible and passes the
     Armijo test. Returns which rows found one, and each row's next iterate:
-    that trial, or its current iterate."""
+    that trial, or its current iterate.
+
+    Each round evaluates the rows still open, by their indices, and writes
+    the ones it accepts; the others halve their step."""
     model = stack.model
-    x_lo, x_hi = model.state_set.lower, model.state_set.upper
-    w_lo, w_hi = model.disturbance_set.lower, model.disturbance_set.upper
     found = np.zeros_like(pending)
-    pending = pending.copy()
-    alpha = step
-    nxt = x
+    nxt = _Iterates(*(v.copy() for v in x))
+    rows = np.flatnonzero(pending)
+    alpha = step[rows]
     for _ in range(MAX_BACKTRACKS + 1):
-        if not pending.any():
+        if not rows.size:
             break
-        chi, om, cost_now = _rows(x.chi, pending), _rows(x.omegas, pending), _rows(x.cost, pending)
-        t_step = _rows(alpha, pending)
-        t_chi = np.clip(chi + t_step[:, None] * _rows(dir_chi, pending), x_lo, x_hi)
-        t_om = np.clip(om + t_step[:, None, None] * _rows(dir_om, pending), w_lo, w_hi)
+        chi, om = x.chi[rows], x.omegas[rows]
+        t_chi = model.state_set.project(chi + alpha[:, None] * dir_chi[rows])
+        t_om = model.disturbance_set.project(om + alpha[:, None, None] * dir_om[rows])
         # overlong trial steps, and the products of huge gradients, may
         # overflow transiently; such trials are rejected
         with np.errstate(over="ignore", invalid="ignore"):
-            descent = _inner(_rows(g_chi, pending), t_chi - chi) + _inner(
-                _rows(g_om, pending), t_om - om
+            descent = _inner(g_chi[rows], t_chi - chi) + _inner(g_om[rows], t_om - om)
+            trial = _Iterates(t_chi, t_om, *_forward_pass(stack.take(rows), t_chi, t_om))
+            ok = (
+                np.isfinite(descent) & _finite(trial.states) & np.isfinite(trial.cost)
+                & (_feasibility(model, t_om, trial.states, trial.residuals) == 0.0)
+                & (trial.cost <= x.cost[rows] + ARMIJO_C * descent)
             )
-            trial = _Iterates(t_chi, t_om, *_forward_pass(stack.take(pending), t_chi, t_om))
-        ok = np.isfinite(descent) & _finite(trial.states) & np.isfinite(trial.cost)
-        if ok.any():
-            feasible = _feasibility(model, t_om[ok], trial.states[ok], trial.residuals[ok]) == 0.0
-            ok[ok] = feasible & (trial.cost[ok] <= cost_now[ok] + ARMIJO_C * descent[ok])
-        if ok.all() and pending.all():  # every row took its first trial
-            return ok, trial
-        rows = np.flatnonzero(pending)[ok]
-        if rows.size:
-            if nxt is x:
-                nxt = _Iterates(*(v.copy() for v in x))
-            for full, part in zip(nxt, trial):
-                full[rows] = part[ok]
-        found[rows] = True
-        pending[rows] = False
-        alpha = alpha * BACKTRACK_FACTOR
+        accepted = rows[ok]
+        for full, part in zip(nxt, trial):
+            full[accepted] = part[ok]
+        found[accepted] = True
+        rows, alpha = rows[~ok], alpha[~ok] * BACKTRACK_FACTOR
     return found, nxt
 
 
 def _projected_gradient_norm(model, chi0, omegas, g_chi, g_om) -> np.ndarray:
-    step_chi = chi0 - np.clip(
-        chi0 - g_chi, model.state_set.lower, model.state_set.upper
-    )
-    step_om = omegas - np.clip(
-        omegas - g_om, model.disturbance_set.lower, model.disturbance_set.upper
-    )
+    step_chi = chi0 - model.state_set.project(chi0 - g_chi)
+    step_om = omegas - model.disturbance_set.project(omegas - g_om)
     with np.errstate(over="ignore", invalid="ignore"):  # huge gradients give inf
         return np.sqrt(_inner(step_chi, step_chi) + _inner(step_om, step_om))
 
@@ -377,9 +360,7 @@ def _solve_stack(problems, candidates, stops, rows, out: WindowSolutions) -> Non
     stack = WindowStack.of(problems)
     chi = np.array([c.chi0 for c in candidates])
     om = np.array([c.omegas for c in candidates])
-    x = _Iterates(chi, om, *_forward_pass(stack, chi, om))
-    if not np.all(_finite(x.states) & np.isfinite(x.cost)):
-        raise NumericsError("window rollout produced non-finite values")
+    x = _Iterates(chi, om, *_checked_pass(stack, chi, om))
     for problem, violation in zip(problems, _feasibility(stack.model, om, x.states, x.residuals)):
         if violation > 0.0:
             raise InfeasibleCandidateError(
@@ -416,10 +397,10 @@ def _solve_stack(problems, candidates, stops, rows, out: WindowSolutions) -> Non
                 out.traces.append(np.full(len(out.cost), np.nan))
             out.traces[steps][rows[taken]] = nxt.cost[found]
             # rows that converged or failed their line search stop here
-            keep = found & ~now_converged
-            ids, stack = _rows(ids, keep), stack.take(keep)
-            prev = _rows(_Previous(x.chi, x.omegas, g_chi, g_om), keep)
-            x = _rows(nxt, keep)
+            keep = np.flatnonzero(found & ~now_converged)
+            ids, stack = ids[keep], stack.take(keep)
+            prev = _Previous(x.chi[keep], x.omegas[keep], g_chi[keep], g_om[keep])
+            x = _Iterates(*(v[keep] for v in nxt))
         out.chi[rows, k], out.omegas[rows, k, : om.shape[1]], out.cost[rows, k] = chi, om, cost
         out.iterations[rows, k], out.converged[rows, k] = iterations, converged
 
@@ -435,6 +416,8 @@ def solve_windows(
     j alone with that budget."""
     if len(problems) != len(candidates):
         raise ValueError("need one candidate per window problem")
+    if not all(_is_integer(stop) and stop >= 0 for stop in stops):
+        raise ValueError("stops must be nonnegative integers")
     groups: dict[tuple, list[int]] = {}
     for j, (problem, candidate) in enumerate(zip(problems, candidates)):
         _check_dims(problem, candidate)

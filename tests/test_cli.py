@@ -202,6 +202,9 @@ class TestErrorPaths:
             {"process_cov": [[1, 2], [2, 1]]},
             {"observer_gain": [0.5]},
             {"observer_gain": [0, 0]},
+            # positive definite, but the inverse weighting the cost overflows
+            {"process_cov": [[1e-320, 0], [0, 1e-320]]},
+            {"output_cov": [[1e-320]]},
             {"horizon": 0},
             {"budgets": [], "include_converged": False},
             {"solver": {"initial_step": -1}},

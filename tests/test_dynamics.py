@@ -202,7 +202,7 @@ class TestBoxSet:
         assert not box.contains([1.5, 0.0])
         assert box.contains([1.5, 0.0], tol=0.5)
         np.testing.assert_array_equal(box.project([2.0, -3.0]), [1.0, 0.0])
-        assert box.violation([2.0, -3.0]) == 3.0
+        assert box.row_violations([2.0, -3.0]) == 3.0
 
     def test_unbounded_contains_everything(self):
         box = BoxSet.unbounded(3)

@@ -5,7 +5,7 @@ from pathlib import Path
 
 import numpy as np
 import pytest
-from hypothesis import HealthCheck, given, settings
+from hypothesis import HealthCheck, example, given, settings
 from hypothesis import strategies as st
 
 import mhekit as mk
@@ -165,7 +165,39 @@ class TestStackedRun:
         np.testing.assert_array_equal(result.candidate_costs, candidate_costs)
 
 
+def covariances(dim):
+    """Random symmetric positive definite (dim, dim) covariances, scaled from
+    subnormal (whose inverse overflows) to large (whose noise diverges)."""
+    entries = st.lists(st.floats(-1.0, 1.0), min_size=dim * dim, max_size=dim * dim)
+
+    def build(drawn):
+        a, scale = np.reshape(drawn[0], (dim, dim)), drawn[1]
+        cov = scale * (a @ a.T + 0.1 * np.eye(dim))
+        return tuple(map(tuple, (0.5 * (cov + cov.T)).tolist()))
+
+    return st.tuples(entries, st.sampled_from([1e-320, 1e-300, 1e-2, 1.0, 1e3])).map(build)
+
+
+TINY = 1e-320
+SMALL_RUN = dict(
+    horizon=10, steps=20, budgets=(0, 2), include_converged=True, noise_scale=1.0, dt=0.1,
+    gain=(0.5, 0.5), z0=(3.0, 0.0), seed=42,
+)
+
+
+# found by this test: diverging estimates overflow the RMSE, and a huge
+# noise weight the window cost, both once warnings instead of NumericsError
+DIVERGING = dict(
+    horizon=1, steps=9, budgets=(), include_converged=True, noise_scale=0.5, dt=0.1,
+    gain=(0.0, 1.0), z0=(0.0, 0.0), seed=0, process_cov=((1225.0, 375.0), (375.0, 350.0)),
+)
+
+
 @settings(max_examples=30, deadline=None, suppress_health_check=[HealthCheck.too_slow])
+@example(**SMALL_RUN, process_cov=((TINY, 0.0), (0.0, TINY)), output_cov=((0.04,),))
+@example(**SMALL_RUN, process_cov=((0.01, 0.0), (0.0, 0.01)), output_cov=((TINY,),))
+@example(**DIVERGING, output_cov=((0.001,),))
+@example(**DIVERGING, output_cov=((1e-301,),))
 @given(
     horizon=st.integers(1, 30),
     steps=st.integers(0, 40),
@@ -176,9 +208,12 @@ class TestStackedRun:
     gain=st.tuples(st.floats(0.0, 3.0), st.floats(0.0, 3.0)),
     z0=st.tuples(st.floats(-1.0, 8.0), st.floats(-1.0, 8.0)),
     seed=st.integers(0, 2**32 - 1),
+    process_cov=covariances(2),
+    output_cov=covariances(1),
 )
 def test_every_config_is_rejected_or_keeps_the_contract(
-    horizon, steps, budgets, include_converged, noise_scale, dt, gain, z0, seed
+    horizon, steps, budgets, include_converged, noise_scale, dt, gain, z0, seed,
+    process_cov, output_cov,
 ):
     """A config either raises ``ConfigError`` or ``NumericsError``, or runs
     with budget 0 on the observer, the audits holding and a rerun identical;
@@ -189,7 +224,8 @@ def test_every_config_is_rejected_or_keeps_the_contract(
             cfg = ExperimentConfig(
                 horizon=horizon, steps=steps, budgets=budgets,
                 include_converged=include_converged, noise_scale=noise_scale, dt=dt,
-                observer_gain=gain, z0=z0, seed=seed,
+                observer_gain=gain, z0=z0, seed=seed, process_cov=process_cov,
+                output_cov=output_cov,
             )
             result = mk.run_experiment(cfg)
         except (ConfigError, mk.NumericsError):

@@ -588,6 +588,12 @@ class TestCheckpoints:
         assert np.array_equal(final[0].chi0, d_conv.chi0)
         np.testing.assert_array_equal(final[1].cost_trace, rep_conv.cost_trace)
 
+    @pytest.mark.parametrize("stop", [2.5, -1, True])
+    def test_stops_must_be_budgets(self, window, stop):
+        problem, candidate = window
+        with pytest.raises(ValueError, match="stops must be nonnegative integers"):
+            mk.solve_windows([problem], [candidate], (2, stop))
+
 
 class TestSolverConfig:
     def test_validation(self):
