@@ -20,37 +20,20 @@ FEASIBILITY_TOL = 1e-9
 
 
 @dataclass(frozen=True, eq=False)
-class QuadWeights:
-    """Weight matrices of a quadratic cost (prior, disturbance, residual)."""
-
-    prior: np.ndarray
-    disturbance: np.ndarray
-    noise: np.ndarray
-
-    def __post_init__(self):
-        for name in ("prior", "disturbance", "noise"):
-            m = np.ascontiguousarray(getattr(self, name), dtype=np.float64)
-            if m.ndim != 2 or m.shape[0] != m.shape[1]:
-                raise ValueError(f"{name} weight must be a square matrix")
-            if not np.all(np.isfinite(m)):
-                raise ValueError(f"{name} weight must be finite")
-            object.__setattr__(self, name, m)
-
-
-@dataclass(frozen=True, eq=False)
 class CostSpec:
     """Prior weighting and stage cost together with their power bounds.
 
     The bounds state c_lo * |.|^a <= term <= c_hi * |.|^a for the prior
     weighting (in |chi - prior|), the disturbance part (in |omega|) and the
-    residual part (in |nu|). ``quad`` is set for quadratic costs and enables
-    the Gauss-Newton direction; the gradient callables are required for
-    gradient-based solving of non-quadratic costs.
+    residual part (in |nu|). Gradient-based solving needs the derivative
+    maps, which give each term's gradient and curvature: its Hessian, or a
+    positive semidefinite stand-in such as a Gauss-Newton curvature.
 
-    The maps act on arrays stacked along leading axes: for omega and chi of
-    shape (..., n) and nu of shape (..., p), ``stage`` and ``gamma`` return
-    (...), ``stage_grad_w`` and ``gamma_grad`` (..., n) and ``stage_grad_v``
-    (..., p); ``gamma``'s prior is shaped like chi.
+    The maps act on arrays stacked along leading axes. For chi and its prior
+    of shape (..., n), ``gamma`` returns (...) and ``gamma_derivs`` the
+    gradient (..., n) and curvature (..., n, n). For omega (..., n) and nu
+    (..., p), ``stage`` returns (...) and ``stage_derivs`` the gradients
+    (..., n) and (..., p), then the curvatures (..., n, n) and (..., p, p).
     """
 
     gamma: Callable[[np.ndarray, np.ndarray], np.ndarray]
@@ -62,10 +45,8 @@ class CostSpec:
     c_w_hi: float
     c_v_lo: float
     c_v_hi: float
-    gamma_grad: Callable | None = None
-    stage_grad_w: Callable | None = None
-    stage_grad_v: Callable | None = None
-    quad: QuadWeights | None = None
+    gamma_derivs: Callable | None = None
+    stage_derivs: Callable | None = None
 
     def __post_init__(self):
         for name in ("a", "c_p_lo", "c_p_hi", "c_w_lo", "c_w_hi", "c_v_lo", "c_v_hi"):
@@ -73,33 +54,34 @@ class CostSpec:
                 raise ValueError(f"{name} must be positive")
 
 
-def quadratic_cost(
-    disturbance_weight,
-    noise_weight,
-    prior_weight=None,
-) -> CostSpec:
+def _weight(m, name):
+    """The symmetric part of a square, finite, positive definite weight
+    matrix, and its extreme eigenvalues."""
+    m = np.asarray(m, dtype=np.float64)
+    if m.ndim != 2 or m.shape[0] != m.shape[1] or not np.all(np.isfinite(m)):
+        raise ValueError(f"{name} weight must be a finite square matrix")
+    sym = 0.5 * (m + m.T)  # the part a quadratic form sees
+    vals = np.linalg.eigvalsh(sym)
+    if vals[0] <= 0:
+        raise ValueError(f"{name} weight must be positive definite")
+    return sym, float(vals[0]), float(vals[-1])
+
+
+def quadratic_cost(disturbance_weight, noise_weight, prior_weight=None) -> CostSpec:
     """Quadratic cost from weight matrices (typically inverse covariances).
 
     Stage cost omega' W omega + nu' V nu plus prior term
-    (chi - prior)' P (chi - prior); P defaults to the identity. The power
-    bounds follow from the extreme eigenvalues with exponent 2.
+    (chi - prior)' P (chi - prior); P defaults to the identity. Each weight
+    enters through its symmetric part, and the curvatures are the constants
+    2P, 2W and 2V. The power bounds follow from the extreme eigenvalues with
+    exponent 2.
     """
-    w = np.ascontiguousarray(disturbance_weight, dtype=np.float64)
-    v = np.ascontiguousarray(noise_weight, dtype=np.float64)
+    w, w_lo, w_hi = _weight(disturbance_weight, "disturbance")
+    v, v_lo, v_hi = _weight(noise_weight, "noise")
     if prior_weight is None:
-        prior_weight = np.eye(w.shape[0])
-    p = np.ascontiguousarray(prior_weight, dtype=np.float64)
-    quad = QuadWeights(prior=p, disturbance=w, noise=v)
-
-    def _eig_range(m, name):
-        vals = np.linalg.eigvalsh(0.5 * (m + m.T))
-        if vals[0] <= 0:
-            raise ValueError(f"{name} weight must be positive definite")
-        return float(vals[0]), float(vals[-1])
-
-    p_lo, p_hi = _eig_range(p, "prior")
-    w_lo, w_hi = _eig_range(w, "disturbance")
-    v_lo, v_hi = _eig_range(v, "noise")
+        prior_weight = np.eye(len(w))
+    p, p_lo, p_hi = _weight(prior_weight, "prior")
+    p2, w2, v2 = 2.0 * p, 2.0 * w, 2.0 * v
 
     def gamma(chi, prior):
         d = (chi - prior)[..., None]
@@ -108,20 +90,19 @@ def quadratic_cost(
     def stage(om, nu):
         return np.sum(om * (om @ w.T), axis=-1) + np.sum(nu * (nu @ v.T), axis=-1)
 
+    def gamma_derivs(chi, prior):
+        grad = 2.0 * (p @ (chi - prior)[..., None])[..., 0]
+        return grad, np.broadcast_to(p2, grad.shape + p2.shape[-1:])
+
+    def stage_derivs(om, nu):
+        curv_w = np.broadcast_to(w2, om.shape + w2.shape[-1:])
+        curv_v = np.broadcast_to(v2, nu.shape + v2.shape[-1:])
+        return 2.0 * (om @ w.T), 2.0 * (nu @ v.T), curv_w, curv_v
+
     return CostSpec(
-        gamma=gamma,
-        stage=stage,
-        a=2.0,
-        c_p_lo=p_lo,
-        c_p_hi=p_hi,
-        c_w_lo=w_lo,
-        c_w_hi=w_hi,
-        c_v_lo=v_lo,
-        c_v_hi=v_hi,
-        gamma_grad=lambda chi, prior: 2.0 * (p @ (chi - prior)[..., None])[..., 0],
-        stage_grad_w=lambda om, nu: 2.0 * (om @ w.T),
-        stage_grad_v=lambda om, nu: 2.0 * (nu @ v.T),
-        quad=quad,
+        gamma=gamma, stage=stage, a=2.0,
+        c_p_lo=p_lo, c_p_hi=p_hi, c_w_lo=w_lo, c_w_hi=w_hi, c_v_lo=v_lo, c_v_hi=v_hi,
+        gamma_derivs=gamma_derivs, stage_derivs=stage_derivs,
     )
 
 

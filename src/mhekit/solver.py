@@ -6,39 +6,28 @@ onto their boxes, steps whose residuals or intermediate states leave
 their sets are rejected), so any budget - including zero - returns a
 feasible point whose cost does not exceed the warm start's.
 
-The direction is the Gauss-Newton step when the cost is quadratic, which
-reaches the accuracy of a fully converged solve within a handful of
-iterations. The step solves the window's linear-quadratic smoothing problem
-by a backward Riccati recursion, O(M n^3) per iteration. For non-quadratic
-costs, or when that system is singular or its step non-finite, the direction
-is projected steepest descent, whose first trial step is the spectral
-(Barzilai-Borwein) ratio of the previous step (``INITIAL_STEP`` when there
-is none). The iterate path is deterministic and independent of the budget:
-one loop runs it to the largest budget asked for, so a longer budget always
-extends a shorter one's cost trace, and the converged baseline is the
-snapshot at ``max_iterations``. That cap is the only setting; the Armijo
-constant, step halving, first step and stopping tolerances are the module
-constants below, since the never-worse guarantee does not depend on them.
+The direction is the generalized Gauss-Newton step for every cost, from a
+backward Riccati sweep over the model Jacobians and the cost's gradients
+and curvatures, O(M n^3) per iteration; when that system is singular or
+its step non-finite, it is projected steepest descent with a spectral
+(Barzilai-Borwein) first step. The iterate path is deterministic and
+independent of the budget: one loop runs it to the largest budget asked
+for, so a longer budget always extends a shorter one's cost trace, and the
+converged baseline is the snapshot at ``max_iterations``, the only
+setting: the never-worse guarantee does not depend on the constants below.
 
 A point is admitted in one place: ``mhe._checked_pass`` rejects a
-non-finite window (the candidates at entry, ``rollout``, ``eval_cost``,
-``cost_gradient``), and ``mhe._violation_rows`` holds the bound excess of
-every stage, which the entry check, each line-search round and
-``check_feasible`` read. Each iterate is evaluated by one forward pass: the
-accepted line-search trial's states and residuals feed the next gradient
-and Gauss-Newton direction, and the check that admitted the trial vouches
-for the iterate returned. One call of each model Jacobian on the pass's
-stacked states serves both the gradient and the direction; the iterate a
-solve stops at is not evaluated.
+non-finite window, and ``mhe._violation_rows`` holds the bound excess of
+every stage. Each iterate is evaluated by one forward pass, whose states
+and residuals feed one call of each model Jacobian and cost derivative map,
+shared by the gradient and the direction; the iterate a solve stops at is
+not evaluated.
 
-Windows are solved as stacks. ``solve_windows`` takes many windows and
-their stops (budgets); those that share a model, cost and length M run one
-iteration loop together, every step an array operation over a leading
-window axis (the Riccati stages solve (B, n, n) stacks). Each window keeps
-its own step size, spectral pair, cost trace and stopping state, and leaves
-the stack when it stops, so its result at every stop, one (window, stop)
-entry of a ``WindowSolutions``, is what its own solve returns.
-``solve_with_checkpoints`` and ``solve_suboptimal`` read a stack of one.
+Windows are solved as stacks: those that share a model, cost and length M
+run one iteration loop together, every step an array operation over a
+leading window axis. Each window keeps its own step size, spectral pair,
+cost trace and stopping state, and leaves the stack when it stops, so its
+result at every stop is what its own solve returns.
 """
 
 from __future__ import annotations
@@ -137,20 +126,17 @@ def cost_gradient(
     _require_gradients(problem)
     ro = rollout(problem, d)
     stack = WindowStack.of([problem])
-    g_chi, g_om = _gradient(
-        stack, d.chi0[None], d.omegas[None], ro.residuals[None],
-        *_jacobians(stack, ro.states[None]),
-    )
+    a, c = _jacobians(stack, ro.states[None])
+    g_chi, g_om = _gradient(_terms(stack, d.chi0[None], d.omegas[None], ro.residuals[None], c), a)
     return g_chi[0], g_om[0]
 
 
 def _require_gradients(problem: HorizonProblem) -> None:
-    model = problem.model
-    cost = problem.cost
+    model, cost = problem.model, problem.cost
     if model.f_jac is None or model.h_jac is None:
         raise ValueError("model Jacobians are required for gradient-based solving")
-    if cost.gamma_grad is None or cost.stage_grad_w is None or cost.stage_grad_v is None:
-        raise ValueError("cost gradients are required for gradient-based solving")
+    if cost.gamma_derivs is None or cost.stage_derivs is None:
+        raise ValueError("cost derivative maps are required for gradient-based solving")
 
 
 def _jacobians(stack: WindowStack, states):
@@ -165,93 +151,122 @@ def _jacobians(stack: WindowStack, states):
     return a, c
 
 
-def _gradient(stack: WindowStack, chi0, omegas, resids, a, c):
-    """Reverse sweep over stacked forward passes of (chi0, omegas) with
-    residuals ``resids`` and Jacobians ``a`` and ``c``; the stage terms are
-    evaluated up front."""
-    cost = stack.cost
-    g_om = _stacked("stage_grad_w", cost.stage_grad_w(omegas, resids), omegas.shape).copy()
-    g_nu = _stacked("stage_grad_v", cost.stage_grad_v(omegas, resids), resids.shape)
+class _Terms(NamedTuple):
+    """Cost derivatives at B stacked iterates: prior gradient (B, n) and
+    curvature (B, n, n); per stage, the gradient in w (B, M, n), C_i' grad_v
+    (B, M, n, 1) and the curvatures in w (B, M, n, n) and v (B, M, p, p)."""
+
+    g_prior: np.ndarray
+    h_prior: np.ndarray
+    g_w: np.ndarray
+    ct_g_v: np.ndarray
+    h_w: np.ndarray
+    h_v: np.ndarray
+
+
+def _terms(stack: WindowStack, chi0, omegas, resids, c) -> _Terms:
+    """The cost's derivative maps, each called once on the stacked iterates
+    (chi0, omegas) with residuals ``resids`` and output Jacobians ``c``."""
+    g_prior, h_prior = stack.cost.gamma_derivs(chi0, stack.prior)
+    g_w, g_v, h_w, h_v = stack.cost.stage_derivs(omegas, resids)
+    g_v = _stacked("stage_derivs", g_v, resids.shape)
+    return _Terms(
+        _stacked("gamma_derivs", g_prior, chi0.shape),
+        _stacked("gamma_derivs", h_prior, chi0.shape + chi0.shape[-1:]),
+        _stacked("stage_derivs", g_w, omegas.shape),
+        c.swapaxes(-1, -2) @ g_v[..., None],
+        _stacked("stage_derivs", h_w, omegas.shape + omegas.shape[-1:]),
+        _stacked("stage_derivs", h_v, resids.shape + resids.shape[-1:]),
+    )
+
+
+def _gradient(t: _Terms, a):
+    """Cost gradient w.r.t. (chi0, omegas) by a reverse (costate) sweep over
+    the stage terms ``t`` with transition Jacobians ``a``."""
+    g_om = t.g_w.copy()
     # stage-major columns; g_stages writes through to g_om
-    ct_g_nu = _stages(c.swapaxes(-1, -2) @ g_nu[..., None])  # C_i' g_nu_i
+    ct_g_nu = _stages(t.ct_g_v)
     at = _stages(a).swapaxes(-1, -2)
     g_stages = _stages(g_om[..., None])
     lam = np.zeros(at.shape[1:-1] + (1,))
     for i in range(len(at) - 1, -1, -1):
         g_stages[i] += lam
         lam = at[i] @ lam - ct_g_nu[i]
-    gamma_grad = _stacked("gamma_grad", cost.gamma_grad(chi0, stack.prior), chi0.shape)
-    g_chi = gamma_grad + lam.reshape(chi0.shape)
+    g_chi = t.g_prior + lam.reshape(t.g_prior.shape)
     if not (np.all(np.isfinite(g_chi)) and np.all(np.isfinite(g_om))):
         raise NumericsError("cost gradient is non-finite")
     return g_chi, g_om
 
 
-def _gn_direction(stack: WindowStack, chi0, omegas, resids, a, c):
-    """Gauss-Newton steps of a quadratic cost at stacked forward passes.
-
-    Each window's step minimises its linear-quadratic model: dynamics
-    dx(i+1) = A_i dx(i) + dw(i), stage terms Q_i = 2 C_i' V C_i,
-    q_i = -2 C_i' V nu_i, R = 2 W, r_i = 2 W w_i and the prior term
-    2 P (dchi + chi - prior). A backward Riccati sweep from S = 0, s = 0
-    gives the feedback dw(i) = K_i dx(i) + k_i, and a forward sweep from
-    dchi = -(2P + S_0)^-1 (2P (chi - prior) + s_0) applies it: O(M n^3) per
-    window, and each stage is one ``np.linalg.solve`` on the stack. Raises
+def _gn_direction(t: _Terms, a, c):
+    """Generalized Gauss-Newton steps at stacked iterates: each window's
+    step minimises the linear-quadratic model with dynamics
+    dx(i+1) = A_i dx(i) + dw(i), stage terms Q_i = C_i' H_v,i C_i,
+    q_i = -C_i' g_v,i, R_i = H_w,i, r_i = g_w,i and prior term H_p dchi + g_p
+    (g and H the gradients and curvatures in ``t``). A backward Riccati sweep
+    from S = 0, s = 0 gives the feedback dw(i) = K_i dx(i) + k_i, and a
+    forward sweep from dchi = -(H_p + S_0)^-1 (g_p + s_0) applies it, one
+    ``np.linalg.solve`` on the stack per stage. Raises
     ``np.linalg.LinAlgError`` when a stage system of any window is singular.
     """
-    q = stack.cost.quad
-    n = omegas.shape[-1]
-    p2, w2 = 2.0 * q.prior, 2.0 * q.disturbance
-    ct_v2 = c.swapaxes(-1, -2) @ (2.0 * q.noise)
+    n = a.shape[-1]
+    ct_h_v = c.swapaxes(-1, -2) @ t.h_v
     # Stage-major, vectors as columns. The backward sweep carries S and s
     # as one matrix [S s], and A_i as [[A_i 0] [0 1]], so that one product
     # gives [S A_i  s] and one gives [A_i' S A_i  A_i' s].
-    a = _stages(a)
+    a, h_w = _stages(a), _stages(t.h_w)
     a_aug = np.zeros(a.shape[:-2] + (n + 1, n + 1))
     a_aug[..., :n, :n] = a
     a_aug[..., n, n] = 1.0
     quad = np.empty(a.shape[:-1] + (n + 1,))  # [Q_i q_i]
-    quad[..., :n] = _stages(ct_v2 @ c)
-    quad[..., n:] = _stages(-(ct_v2 @ resids[..., None]))
+    quad[..., :n] = _stages(ct_h_v @ c)
+    quad[..., n:] = -_stages(t.ct_g_v)
     lin = np.zeros_like(quad)  # [0 r_i]
-    lin[..., n] = _stages(omegas @ w2.T)
+    lin[..., n] = _stages(t.g_w)
     feedback = np.empty_like(quad)  # [K_i k_i]
     ss = np.zeros(a.shape[1:-1] + (n + 1,))  # [S s]
     for i in range(len(a) - 1, -1, -1):
         sas = ss @ a_aug[i]  # [S A_i  s]
-        # stage i solves (R + S) [K_i k_i] = -[S A_i  r_i + s]
-        fb = feedback[i] = -np.linalg.solve(w2 + ss[..., :n], lin[i] + sas)
+        # stage i solves (R_i + S) [K_i k_i] = -[S A_i  r_i + s]
+        fb = feedback[i] = -np.linalg.solve(h_w[i] + ss[..., :n], lin[i] + sas)
         ss = quad[i] + a[i].swapaxes(-1, -2) @ sas + sas[..., :n].swapaxes(-1, -2) @ fb
-    dev = _batch(chi0 - stack.prior)[..., None]
-    d_chi = np.linalg.solve(p2 + ss[..., :n], -(p2 @ dev + ss[..., n:]))
-    d_om = np.empty(omegas.shape + (1,))
+    g_p = _batch(t.g_prior)[..., None]
+    d_chi = np.linalg.solve(_batch(t.h_prior) + ss[..., :n], -(g_p + ss[..., n:]))
+    d_om = np.empty(t.g_w.shape + (1,))
     d_stages = _stages(d_om)
     dx = d_chi
     for i in range(len(a)):
         d_stages[i] = feedback[i, ..., :n] @ dx + feedback[i, ..., n:]
         dx = a[i] @ dx + d_stages[i]
-    return d_chi.reshape(chi0.shape), d_om[..., 0]
+    return d_chi.reshape(t.g_prior.shape), d_om[..., 0]
+
+
+def _gn_steps(t: _Terms, a, c):
+    """``_gn_direction``, with NaN steps for a window whose system is
+    singular: a stack that raises is solved window by window, as each
+    window's own solve would be."""
+    try:
+        with np.errstate(over="ignore", invalid="ignore"):  # non-finite curvatures
+            return _gn_direction(t, a, c)
+    except np.linalg.LinAlgError:
+        if len(a) == 1:
+            return np.full(t.g_prior.shape, np.nan), np.full(t.g_w.shape, np.nan)
+        rows = [_gn_steps(t._make(v[r : r + 1] for v in t), a[r : r + 1], c[r : r + 1])
+                for r in range(len(a))]
+        return tuple(np.concatenate(steps) for steps in zip(*rows))
 
 
 def _evaluate(stack: WindowStack, x: _Iterates):
-    """Directions and gradients at stacked iterates from one Jacobian sweep,
-    and which directions are Gauss-Newton steps: a window's is when the cost
-    is quadratic and that step is well defined and finite, steepest descent
-    otherwise. A singular Gauss-Newton system sends the whole stack to
-    steepest descent (a singular disturbance weight W makes every window's
-    last stage system, 2W, singular at once)."""
-    jac = _jacobians(stack, x.states)
-    g_chi, g_om = _gradient(stack, x.chi, x.omegas, x.residuals, *jac)
+    """Directions and gradients at stacked iterates, and which directions
+    are Gauss-Newton steps: a window's is when its step is well defined and
+    finite, projected steepest descent otherwise."""
+    a, c = _jacobians(stack, x.states)
+    terms = _terms(stack, x.chi, x.omegas, x.residuals, c)
+    g_chi, g_om = _gradient(terms, a)
+    d_chi, d_om = _gn_steps(terms, a, c)
+    gn = _finite(d_chi) & _finite(d_om)
     dir_chi, dir_om = -g_chi, -g_om
-    gn = np.zeros(len(g_chi), dtype=bool)
-    if stack.cost.quad is not None:
-        try:
-            d_chi, d_om = _gn_direction(stack, x.chi, x.omegas, x.residuals, *jac)
-        except np.linalg.LinAlgError:  # singular Gauss-Newton system
-            pass
-        else:
-            gn = _finite(d_chi) & _finite(d_om)
-            dir_chi[gn], dir_om[gn] = d_chi[gn], d_om[gn]
+    dir_chi[gn], dir_om[gn] = d_chi[gn], d_om[gn]
     return dir_chi, dir_om, g_chi, g_om, gn
 
 

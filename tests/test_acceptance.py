@@ -214,12 +214,9 @@ def test_criterion_6_oracle_equivalences(reactor, quad_cost):
     from test_solver import linear_model
 
     model = lin = linear_model()
-    cost = mk.quadratic_cost(np.diag([4.0, 2.0]), [[3.0]], np.diag([1.0, 2.0]))
-    sq = {
-        "p": np.linalg.cholesky(cost.quad.prior).T,
-        "w": np.linalg.cholesky(cost.quad.disturbance).T,
-        "v": np.linalg.cholesky(cost.quad.noise).T,
-    }
+    weights = {"w": np.diag([4.0, 2.0]), "v": np.array([[3.0]]), "p": np.diag([1.0, 2.0])}
+    cost = mk.quadratic_cost(weights["w"], weights["v"], weights["p"])
+    sq = {name: np.linalg.cholesky(m).T for name, m in weights.items()}
     worst_wls = 0.0
     for trial in range(3):
         m = int(rng.integers(3, 8))

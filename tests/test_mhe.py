@@ -48,7 +48,8 @@ class TestQuadraticCost:
         )
         om = rng.normal(0, 1, (4, 6, 2))
         nu = rng.normal(0, 1, (4, 6, 2))
-        for fn in (cost.stage, cost.stage_grad_w, cost.stage_grad_v):
+        derivs = [lambda om, nu, k=k: cost.stage_derivs(om, nu)[k] for k in range(4)]
+        for fn in (cost.stage, *derivs):
             rows = np.array([fn(*row) for row in zip(om.reshape(-1, 2), nu.reshape(-1, 2))])
             stacked = fn(om, nu)
             assert stacked.shape == om.shape[:2] + rows.shape[1:]

@@ -13,11 +13,13 @@ README = (Path(__file__).resolve().parents[1] / "README.md").read_text(encoding=
 
 
 def test_library_sketch_runs():
+    # the sketch and the custom-cost example run in turn, in one scope
     section = README.split("## Library sketch", 1)[1]
-    code = re.search(r"```python\n(.*?)```", section, re.S).group(1)
     scope = {}
-    exec(compile(code, "README.md", "exec"), scope)
+    for code in re.findall(r"```python\n(.*?)```", section, re.S):
+        exec(compile(code, "README.md", "exec"), scope)
     assert scope["estimate"].shape == (2,)
+    assert scope["robust_info"].converged
 
 
 COMMANDS = [

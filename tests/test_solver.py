@@ -6,8 +6,9 @@ import pytest
 import mhekit as mk
 from mhekit import solver
 from mhekit.dynamics import BoxSet, NoiseSpec, SystemModel
-from mhekit.mhe import QuadWeights, WindowStack
-from mhekit.solver import InfeasibleCandidateError, _gn_direction, _jacobians
+from mhekit.mhe import WindowStack
+from mhekit.solver import InfeasibleCandidateError, _gn_direction, _jacobians, _terms
+from test_window_pass import smooth_l1_cost
 
 
 @pytest.fixture(scope="module")
@@ -22,12 +23,19 @@ def window(reactor, reactor_observer, quad_cost):
 
 
 def with_cost(window, quadratic):
-    """The window with its quadratic cost, or with the same cost stripped of
-    its quadratic weights, which the solver then treats as non-quadratic."""
+    """The window with its quadratic cost, or with the same cost but zero
+    curvatures, whose singular Gauss-Newton system sends the solver to
+    spectral steepest descent."""
     problem, candidate = window
     if not quadratic:
+        derivs = problem.cost.stage_derivs
+
+        def flat(om, nu):
+            g_w, g_v, h_w, h_v = derivs(om, nu)
+            return g_w, g_v, np.zeros_like(h_w), np.zeros_like(h_v)
+
         problem = mk.HorizonProblem(
-            model=problem.model, cost=replace(problem.cost, quad=None),
+            model=problem.model, cost=replace(problem.cost, stage_derivs=flat),
             horizon=problem.horizon, prior=problem.prior,
             measurements=problem.measurements, start=problem.start,
         )
@@ -50,6 +58,26 @@ def linear_model():
     )
 
 
+def gradient_error(problem):
+    """Relative error of ``cost_gradient`` against central differences of the
+    cost at a random point of a length-10 window."""
+    rng = np.random.default_rng(6)
+    d = mk.DecisionVector(rng.uniform(1, 5, 2), rng.normal(0, 0.2, (10, 2)))
+    g = np.concatenate(
+        [arr.ravel() for arr in mk.cost_gradient(problem, d)]
+    )
+    u0 = np.concatenate([d.chi0, d.omegas.ravel()])
+    h = 1e-6
+    fd = np.empty_like(u0)
+    for j in range(u0.size):
+        e = np.zeros_like(u0)
+        e[j] = h
+        up = mk.DecisionVector((u0 + e)[:2], (u0 + e)[2:].reshape(10, 2))
+        dn = mk.DecisionVector((u0 - e)[:2], (u0 - e)[2:].reshape(10, 2))
+        fd[j] = (mk.eval_cost(problem, up) - mk.eval_cost(problem, dn)) / (2 * h)
+    return np.linalg.norm(g - fd) / np.linalg.norm(fd)
+
+
 class TestCostGradient:
     def test_zero_at_noise_free_global_minimum(self, reactor, quad_cost):
         log = mk.simulate(reactor, [4.0, 1.0], np.zeros((6, 2)), np.zeros((6, 1)), 6)
@@ -63,22 +91,14 @@ class TestCostGradient:
         assert np.max(np.abs(g_om)) < 1e-14
 
     def test_matches_central_differences(self, window):
+        assert gradient_error(window[0]) < 1e-5
+
+    def test_non_symmetric_weight_matches_central_differences(self, window):
+        # a quadratic form sees only its weight's symmetric part, which the
+        # power bounds already used; the gradient must use it too
         problem, _ = window
-        rng = np.random.default_rng(6)
-        d = mk.DecisionVector(rng.uniform(1, 5, 2), rng.normal(0, 0.2, (10, 2)))
-        g = np.concatenate(
-            [arr.ravel() for arr in mk.cost_gradient(problem, d)]
-        )
-        u0 = np.concatenate([d.chi0, d.omegas.ravel()])
-        h = 1e-6
-        fd = np.empty_like(u0)
-        for j in range(u0.size):
-            e = np.zeros_like(u0)
-            e[j] = h
-            up = mk.DecisionVector((u0 + e)[:2], (u0 + e)[2:].reshape(10, 2))
-            dn = mk.DecisionVector((u0 - e)[:2], (u0 - e)[2:].reshape(10, 2))
-            fd[j] = (mk.eval_cost(problem, up) - mk.eval_cost(problem, dn)) / (2 * h)
-        assert np.linalg.norm(g - fd) / np.linalg.norm(fd) < 1e-5
+        cost = mk.quadratic_cost([[3.0, 1.0], [-0.5, 2.0]], [[25.0]])
+        assert gradient_error(replace(problem, cost=cost)) < 1e-5
 
     def test_closed_form_identity_dynamics(self, quad_cost):
         eye = np.eye(2)
@@ -110,24 +130,26 @@ class TestCostGradient:
         np.testing.assert_allclose(g_om[0], expect_om, rtol=0, atol=1e-12)
 
 
-def dense_gn_direction(problem, ro, g_chi, g_om):
+def dense_gn_direction(problem, d, ro, g_chi, g_om):
     """Gauss-Newton step by the dense normal equations: the (n + M n)-square
-    Hessian built from the forward sensitivities of the shooting recursion,
-    solved against the cost gradient."""
+    curvature built from the forward sensitivities of the shooting recursion
+    and the cost's curvatures at the iterate ``d``, solved against the cost
+    gradient."""
     model = problem.model
-    q = problem.cost.quad
     m = problem.horizon
     n = model.n
+    _, h_prior = problem.cost.gamma_derivs(d.chi0, problem.prior)
+    _, _, h_w, h_v = problem.cost.stage_derivs(d.omegas, ro.residuals)
     dim = n + m * n
     hess = np.zeros((dim, dim))
-    hess[:n, :n] = 2.0 * q.prior
+    hess[:n, :n] = h_prior
     sens = np.zeros((n, dim))
     sens[:, :n] = np.eye(n)
     for i in range(m):
         lo = n + i * n
-        hess[lo : lo + n, lo : lo + n] += 2.0 * q.disturbance
+        hess[lo : lo + n, lo : lo + n] += h_w[i]
         u = model.h_jac(ro.states[i]) @ sens  # d(nu_i)/d(decision) = -u
-        hess += 2.0 * (u.T @ (q.noise @ u))
+        hess += u.T @ (h_v[i] @ u)
         sens = model.f_jac(ro.states[i]) @ sens
         sens[:, lo : lo + n] += np.eye(n)
     grad = np.concatenate([g_chi, g_om.ravel()])
@@ -150,8 +172,8 @@ class TestGaussNewtonDirection:
             disturbance_set=BoxSet([-1.0, -1.0], [1.0, 1.0]),
             noise_set=BoxSet([-3.0], [3.0]),
         )
-        for _ in range(4):
-            cost = mk.quadratic_cost(
+        for k in range(5):  # four random quadratic costs, then smooth-L1
+            cost = smooth_l1_cost() if k == 4 else mk.quadratic_cost(
                 random_spd(rng, 2, 50.0), random_spd(rng, 1, 10.0),
                 random_spd(rng, 2, 1.0),
             )
@@ -172,12 +194,11 @@ class TestGaussNewtonDirection:
             )
             ro = mk.rollout(problem, d)
             stack = WindowStack.of([problem])
-            d_chi, d_om = _gn_direction(
-                stack, d.chi0[None], d.omegas[None], ro.residuals[None],
-                *_jacobians(stack, ro.states[None]),
-            )
+            a, c = _jacobians(stack, ro.states[None])
+            terms = _terms(stack, d.chi0[None], d.omegas[None], ro.residuals[None], c)
+            d_chi, d_om = _gn_direction(terms, a, c)
             assert d_chi.shape == (1, 2) and d_om.shape == (1, horizon, 2)
-            e_chi, e_om = dense_gn_direction(problem, ro, *mk.cost_gradient(problem, d))
+            e_chi, e_om = dense_gn_direction(problem, d, ro, *mk.cost_gradient(problem, d))
             got = np.concatenate([d_chi[0], d_om[0].ravel()])
             expect = np.concatenate([e_chi, e_om.ravel()])
             assert np.linalg.norm(got - expect) <= 1e-10 * np.linalg.norm(expect)
@@ -274,8 +295,10 @@ class TestGaussNewtonDirection:
         cost = replace(
             problem.cost,
             stage=lambda om, nu: np.sum(nu * (nu @ v.T), axis=-1),
-            stage_grad_w=lambda om, nu: np.zeros_like(om),
-            quad=QuadWeights(prior=np.eye(2), disturbance=np.zeros((2, 2)), noise=v),
+            stage_derivs=lambda om, nu: (
+                np.zeros_like(om), 2.0 * (nu @ v.T), np.zeros(om.shape + om.shape[-1:]),
+                np.broadcast_to(2.0 * v, nu.shape + v.shape[-1:]),
+            ),
         )
         singular = mk.HorizonProblem(
             model=problem.model, cost=cost, horizon=problem.horizon,
@@ -302,12 +325,21 @@ class TestMapShapes:
             # over the stack, () instead of (1,), and P d as a column, (2, 1)
             # instead of (1, 2)
             ("gamma", lambda chi, prior: np.sum((chi - prior) ** 2)),
-            ("gamma_grad", lambda chi, prior: 2.0 * (np.eye(2) @ (chi - prior).T)),
+            (
+                "gamma_derivs",
+                lambda chi, prior: (2.0 * (np.eye(2) @ (chi - prior).T), 2.0 * np.eye(2)),
+            ),
+            # stage curvatures written for one stage: (2, 2) instead of
+            # (1, 2, 2, 2)
+            (
+                "stage_derivs",
+                lambda om, nu: (2.0 * om, 2.0 * nu, 2.0 * np.eye(2), 2.0 * np.eye(1)),
+            ),
         ],
     )
     def test_map_written_for_one_state_is_named(self, name, single_state_map):
         model, cost = linear_model(), mk.quadratic_cost(np.eye(2), [[1.0]])
-        if name.startswith("gamma"):
+        if name in {f.name for f in fields(mk.CostSpec)}:
             cost = replace(cost, **{name: single_state_map})
         else:
             model = replace(model, **{name: single_state_map})
@@ -470,9 +502,8 @@ class TestSolveSuboptimal:
 class TestSolveConverged:
     def test_matches_weighted_least_squares_oracle(self):
         model = linear_model()
-        cost = mk.quadratic_cost(
-            np.diag([4.0, 2.0]), np.array([[3.0]]), np.diag([1.0, 2.0])
-        )
+        w, v, p = np.diag([4.0, 2.0]), np.array([[3.0]]), np.diag([1.0, 2.0])
+        cost = mk.quadratic_cost(w, v, p)
         rng = np.random.default_rng(5)
         m = 6
         ys = rng.normal(0, 1, (m, 1))
@@ -484,9 +515,9 @@ class TestSolveConverged:
 
         # independent oracle: stacked weighted residuals are affine in the
         # decision, so probe the map on basis vectors and solve by lstsq
-        sq_p = np.linalg.cholesky(cost.quad.prior).T
-        sq_w = np.linalg.cholesky(cost.quad.disturbance).T
-        sq_v = np.linalg.cholesky(cost.quad.noise).T
+        sq_p = np.linalg.cholesky(p).T
+        sq_w = np.linalg.cholesky(w).T
+        sq_v = np.linalg.cholesky(v).T
 
         def residual(u):
             d = mk.DecisionVector(u[:2], u[2:].reshape(m, 2))
@@ -508,6 +539,20 @@ class TestSolveConverged:
         got = np.concatenate([d.chi0, d.omegas.ravel()])
         assert report.converged
         assert np.max(np.abs(got - expected)) < 1e-6
+
+    def test_smooth_l1_takes_few_gauss_newton_steps(self):
+        # the pseudo-Huber curvature gives Newton steps on case-study windows,
+        # where spectral steepest descent took a median of ~200 steps
+        model, cost = mk.harness.build_model(mk.ExperimentConfig()), smooth_l1_cost()
+        problems, candidates = [], []
+        for seed in range(10):
+            truth, olog = mk.harness.simulate_and_observe(mk.ExperimentConfig(seed=seed))
+            for t in (10, 25, 40):
+                problems.append(mk.advance_window(model, cost, 10, truth.outputs, olog, t))
+                candidates.append(mk.build_candidate(olog, problems[-1].start, 10))
+        solved = mk.solve_windows(problems, candidates, (mk.SolverConfig().max_iterations,))
+        assert solved.converged.all()
+        assert solved.iterations.max() <= 20
 
     def test_already_optimal_takes_no_iterations(self, reactor, quad_cost):
         log = mk.simulate(reactor, [4.0, 1.0], np.zeros((4, 2)), np.zeros((4, 1)), 4)

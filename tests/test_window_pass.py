@@ -4,23 +4,27 @@ The solver evaluates each iterate once and reuses that pass for its
 gradient, Gauss-Newton direction and reported feasibility residual; the
 first checks tie the reused values to fresh public evaluations. It also
 solves windows that share a model, cost and length as one stack; the
-others check that each stacked window gets what its own solve gives.
+others check that each stacked window gets what its own solve gives, also
+when one window's curvature sends it alone to steepest descent, and on
+random linear windows of other dimensions, where one Gauss-Newton step
+must reach the dense least-squares minimiser.
 """
 
 from dataclasses import replace
 
 import numpy as np
+import pytest
 from hypothesis import HealthCheck, example, given, settings
 from hypothesis import strategies as st
 
 import mhekit as mk
-from mhekit.dynamics import BoxSet
+from mhekit.dynamics import BoxSet, SystemModel
 
 
 def smooth_l1_cost() -> mk.CostSpec:
     """Hand-built non-quadratic cost: quadratic prior and disturbance terms,
-    pseudo-Huber residual term; no ``quad`` weights, so the solver takes
-    spectral steepest-descent steps."""
+    pseudo-Huber residual term. Its curvatures are the exact Hessians, so
+    the solver takes generalized Gauss-Newton steps."""
     w = 100.0
     v = 25.0
 
@@ -29,13 +33,24 @@ def smooth_l1_cost() -> mk.CostSpec:
             np.sqrt(1.0 + nu * nu) - 1.0, axis=-1
         )
 
+    def stage_derivs(om, nu):
+        root = np.sqrt(1.0 + nu * nu)
+        eye_w = np.eye(om.shape[-1])
+        return (
+            2.0 * w * om, v * nu / root,
+            np.broadcast_to(2.0 * w * eye_w, om.shape + eye_w.shape[-1:]),
+            (v / root**3)[..., None] * np.eye(nu.shape[-1]),
+        )
+
     return mk.CostSpec(
         gamma=lambda chi, prior: np.sum((chi - prior) ** 2, axis=-1),
         stage=stage,
         a=2.0, c_p_lo=1.0, c_p_hi=1.0, c_w_lo=w, c_w_hi=w, c_v_lo=v, c_v_hi=v,
-        gamma_grad=lambda chi, prior: 2.0 * (chi - prior),
-        stage_grad_w=lambda om, nu: 2.0 * w * om,
-        stage_grad_v=lambda om, nu: v * nu / np.sqrt(1.0 + nu * nu),
+        gamma_derivs=lambda chi, prior: (
+            2.0 * (chi - prior),
+            np.broadcast_to(2.0 * np.eye(chi.shape[-1]), chi.shape + chi.shape[-1:]),
+        ),
+        stage_derivs=stage_derivs,
     )
 
 
@@ -205,3 +220,116 @@ def test_early_stops_beside_continuing_windows(monkeypatch):
     outcomes = list(zip(solved.iterations[:, k].tolist(), solved.converged[:, k].tolist()))
     assert outcomes == [(0, True), (0, False), (2, False), (5, False), (5, True)]
     assert solved.result(0, k)[0] is candidates[0] and solved.result(1, k)[0] is candidates[1]
+
+
+@pytest.mark.parametrize("case", ["nan_prior", "inf_residual", "singular_disturbance"])
+def test_bad_curvature_falls_back_for_its_window_only(case, monkeypatch):
+    # one window of the stack gets a curvature with which its Gauss-Newton
+    # step is non-finite or its system singular: a NaN prior curvature (the
+    # window picked by its prior), or an infinite residual or zero
+    # disturbance curvature (picked by zero disturbances, which only the
+    # first window, whose candidate is already optimal, has)
+    problems, candidates = bounded_windows(4, [4] * 4, 0.5, COSTS["quadratic"])
+    flagged_prior = problems[2].prior
+    quadratic = COSTS["quadratic"]
+
+    def gamma_derivs(chi, prior):
+        grad, curv = quadratic.gamma_derivs(chi, prior)
+        flagged = np.all(prior == flagged_prior, axis=-1)[..., None, None]
+        return grad, np.where(flagged, np.nan, curv)
+
+    def stage_derivs(om, nu):
+        g_w, g_v, h_w, h_v = quadratic.stage_derivs(om, nu)
+        flagged = np.all(om == 0.0, axis=(-2, -1))[..., None, None, None]
+        if case == "inf_residual":
+            return g_w, g_v, h_w, np.where(flagged, np.inf, h_v)
+        return g_w, g_v, np.where(flagged, 0.0, h_w), h_v
+
+    if case == "nan_prior":
+        cost, fallback = replace(quadratic, gamma_derivs=gamma_derivs), 2
+    else:
+        cost, fallback = replace(quadratic, stage_derivs=stage_derivs), 0
+    problems = [replace(problem, cost=cost) for problem in problems]
+    rules, evaluate = [], mk.solver._evaluate
+
+    def recorded(stack, x):
+        evaluated = evaluate(stack, x)
+        rules.append(evaluated[-1].tolist())
+        return evaluated
+
+    monkeypatch.setattr(mk.solver, "_evaluate", recorded)
+    assert_each_matches_alone(problems, candidates)
+    assert rules[0] == [row != fallback for row in range(4)]  # the stack's first step
+
+
+def random_linear_windows(seed: int, n: int, p: int, horizons):
+    """Windows of one random stable linear model (n states, p outputs) and
+    one random quadratic cost, each with its minimiser from the dense normal
+    equations of the weighted least-squares problem in
+    (chi0, w(0), ..., w(M-1))."""
+    rng = np.random.default_rng(seed)
+    a = rng.normal(size=(n, n))
+    a *= 0.9 / max(1.0, np.abs(np.linalg.eigvals(a)).max())
+    c = rng.normal(size=(p, n))
+    model = SystemModel(
+        n=n, p=p,
+        # row by row, so that a window's values do not depend on the stack
+        # it is evaluated in (a matrix product may round a stack differently)
+        f=lambda x: np.sum(x[..., None, :] * a, axis=-1),
+        h=lambda x: np.sum(x[..., None, :] * c, axis=-1),
+        state_set=BoxSet.unbounded(n),
+        disturbance_set=BoxSet.unbounded(n),
+        noise_set=BoxSet.unbounded(p),
+        f_jac=lambda x: np.broadcast_to(a, np.shape(x)[:-1] + a.shape),
+        h_jac=lambda x: np.broadcast_to(c, np.shape(x)[:-1] + c.shape),
+    )
+
+    def spd(k):
+        g = rng.normal(size=(k, k))
+        return g @ g.T + k * np.eye(k)
+
+    w, v, pw = spd(n), spd(p), spd(n)
+    cost = mk.quadratic_cost(w, v, pw)
+    windows = []
+    for m in horizons:
+        ys, prior = rng.normal(size=(m, p)), rng.normal(size=n)
+        dim = n + m * n
+        hess = np.zeros((dim, dim))
+        hess[:n, :n] = pw
+        rhs = np.zeros(dim)
+        rhs[:n] = pw @ prior
+        sens = np.zeros((n, dim))  # x(i) as a linear map of the decision
+        sens[:, :n] = np.eye(n)
+        for i in range(m):
+            lo = n + i * n
+            hess[lo : lo + n, lo : lo + n] += w
+            out = c @ sens
+            hess += out.T @ v @ out
+            rhs += out.T @ v @ ys[i]
+            sens = a @ sens
+            sens[:, lo : lo + n] += np.eye(n)
+        problem = mk.HorizonProblem(
+            model=model, cost=cost, horizon=m, prior=prior, measurements=ys
+        )
+        candidate = mk.DecisionVector(rng.normal(size=n), rng.normal(0.0, 0.1, (m, n)))
+        windows.append((problem, candidate, np.linalg.solve(hess, rhs)))
+    return windows
+
+
+@settings(max_examples=30, deadline=None, suppress_health_check=[HealthCheck.too_slow])
+@given(
+    seed=st.integers(0, 2**32 - 1),
+    n=st.integers(1, 4),
+    p=st.integers(1, 3),
+    horizons=st.lists(st.integers(1, 6), min_size=2, max_size=5),
+)
+def test_random_linear_windows_match_least_squares(seed, n, p, horizons):
+    windows = random_linear_windows(seed, n, p, horizons)
+    problems, candidates, expected = zip(*windows)
+    solved = assert_each_matches_alone(list(problems), list(candidates))
+    # one Gauss-Newton step reaches the minimiser, and the converged stop
+    # stays there
+    for k in (STOPS.index(1), len(STOPS) - 1):
+        for j, (problem, u) in enumerate(zip(problems, expected)):
+            got = np.concatenate([solved.chi[j, k], solved.omegas[j, k, : problem.horizon].ravel()])
+            np.testing.assert_allclose(got, u, rtol=0, atol=1e-10 * max(1.0, np.abs(u).max()))
