@@ -27,10 +27,8 @@ from .dynamics import (
     NumericsError,
     SystemModel,
     TrajectoryLog,
-    batch_reactor_drift,
     batch_reactor_model,
     draw_noise,
-    rk4_step,
     simulate,
 )
 from .harness import (

@@ -253,10 +253,6 @@ class EnvelopeReport:
     min_margin: float
     argmin: int
 
-    @property
-    def satisfied(self) -> bool:
-        return self.min_margin >= 0.0
-
     def to_csv(self, path) -> None:
         write_csv(path, {"error": self.errors, "bound": self.bounds, "margin": self.margins})
 
@@ -266,12 +262,13 @@ def check_rges_envelope(
     disturbances,
     noises,
     constants: RgesConstants,
-    initial_error: float | None = None,
+    initial_error: float,
 ) -> EnvelopeReport:
     """Margins bound(t) - error(t) of an exponential envelope over a run.
 
     ``errors`` holds |x(t) - estimate(t)| for t = 0..T; the disturbance and
-    noise histories must cover t-1 entries ahead of each checked t.
+    noise histories must cover t-1 entries ahead of each checked t. The
+    envelope decays from ``initial_error``, the initial guess's |x(0) - z(0)|.
     """
     err = np.asarray(errors, dtype=np.float64)
     w_norms = _norm_rows(disturbances)
@@ -279,9 +276,8 @@ def check_rges_envelope(
     steps = err.shape[0]
     if w_norms.shape[0] < steps - 1 or v_norms.shape[0] < steps - 1:
         raise ValueError("histories shorter than the error trajectory")
-    e0 = float(err[0]) if initial_error is None else float(initial_error)
     bounds = (
-        constants.c_p * e0 * constants.rho ** np.arange(steps)
+        constants.c_p * float(initial_error) * constants.rho ** np.arange(steps)
         + constants.c_w * _discounted_history(constants.rho, w_norms, steps)
         + constants.c_v * _discounted_history(constants.rho, v_norms, steps)
     )
@@ -303,9 +299,8 @@ def fit_observer_envelope(
     """Smallest single envelope gain covering the given error trajectories.
 
     Each trajectory is (errors, disturbances, noises) with errors indexed
-    t = 0..T and histories of length >= T; an optional fourth element
-    overrides the initial error fed to the envelope (default errors[0]).
-    For each grid decay rate the minimal common gain is the pointwise
+    t = 0..T and histories of length >= T; the envelope decays from the
+    trajectory's own initial error errors[0]. For each grid decay rate the minimal common gain is the pointwise
     maximum of error/denominator ratios (the envelope is linear in its
     gains at fixed decay); the rate with the smallest gain wins, ties
     favoring faster decay. The result is flagged fitted: it validates
@@ -314,11 +309,9 @@ def fit_observer_envelope(
     if not trajectories:
         raise ValueError("at least one trajectory is required")
     prepared = []
-    for traj in trajectories:
-        errors, disturbances, noises = traj[:3]
+    for errors, disturbances, noises in trajectories:
         err = np.asarray(errors, dtype=np.float64)[:, None]  # against the grid axis
-        e0 = float(traj[3]) if len(traj) > 3 else float(err[0, 0])
-        prepared.append((err, _norm_rows(disturbances), _norm_rows(noises), e0))
+        prepared.append((err, _norm_rows(disturbances), _norm_rows(noises), float(err[0, 0])))
 
     if not any(np.any(err > 1e-12) for err, _, _, _ in prepared):
         return RgesConstants(1.0, 1.0, 1.0, rho=float(rho_grid[0]), fitted=True)

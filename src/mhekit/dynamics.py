@@ -31,6 +31,14 @@ def _as_vector(x, dim: int | None = None, name: str = "x") -> np.ndarray:
     return v
 
 
+def _as_record(values, width: int, name: str) -> np.ndarray:
+    """A (T, width) float record, e.g. outputs (T, p) or disturbances (T, n)."""
+    r = np.ascontiguousarray(values, dtype=np.float64)
+    if r.ndim != 2 or r.shape[1] != width:
+        raise ValueError(f"{name} must have shape (T, {width}), got {r.shape}")
+    return r
+
+
 @dataclass(frozen=True, eq=False)
 class BoxSet:
     """Axis-aligned box, possibly unbounded per entry.
@@ -119,10 +127,6 @@ class TrajectoryLog:
         if self.disturbances.shape[0] != T or self.noises.shape[0] != T:
             raise ValueError("disturbance/noise sequences must have length T")
 
-    @property
-    def steps(self) -> int:
-        return self.outputs.shape[0]
-
     def to_csv(self, path) -> None:
         """Columns t, x1..xn, y1..yp, w1..wn, v1..vp; the final state's row
         has no output or noise and reads nan there."""
@@ -197,24 +201,11 @@ def _rk4(drift, x, dt: float, drift_jac=None):
     return step, eye + (dt / 6.0) * (j1 + 2.0 * j2 + 2.0 * j3 + j4)
 
 
-def batch_reactor_drift(x) -> np.ndarray:
-    """Continuous-time reactor kinetics for 2A <-> B in concentration units."""
-    return _reactor_drift(_as_vector(x, dim=2))
-
-
-def rk4_step(drift: Callable[[np.ndarray], np.ndarray], x, dt: float) -> np.ndarray:
-    """One classical 4th-order Runge-Kutta step of ``drift`` from ``x``."""
-    if not dt > 0:
-        raise ValueError("dt must be positive")
-    out = _rk4(drift, np.asarray(x, dtype=np.float64), dt)
-    if not np.all(np.isfinite(out)):
-        raise NumericsError("rk4_step produced a non-finite state")
-    return out
-
-
 def batch_reactor_model(dt: float = DEFAULT_DT) -> SystemModel:
     """The discretized batch reactor (all constraint sets unbounded)."""
     dt = float(dt)
+    if not dt > 0:
+        raise ValueError("dt must be positive")
     return SystemModel(
         n=2,
         p=1,
@@ -242,8 +233,8 @@ def simulate(
     in the log, not projected: clipping would silently break replay.
     """
     x0 = _as_vector(x0, dim=model.n, name="x0")
-    w = np.ascontiguousarray(disturbances, dtype=np.float64)
-    v = np.ascontiguousarray(noises, dtype=np.float64)
+    w = _as_record(disturbances, model.n, "disturbances")
+    v = _as_record(noises, model.p, "noises")
     if steps < 0:
         raise ValueError("steps must be nonnegative")
     if w.shape[0] < steps or v.shape[0] < steps:

@@ -115,6 +115,11 @@ class ExperimentConfig:
                 build(self)
             except ValueError as exc:
                 raise ConfigError(f"bad {what}: {exc}") from exc
+        # validated; as tuples a config built from lists equals its round trip
+        for name in ("budgets", "x0", "z0", "observer_gain"):
+            object.__setattr__(self, name, tuple(getattr(self, name)))
+        for name in ("process_cov", "output_cov"):
+            object.__setattr__(self, name, tuple(map(tuple, getattr(self, name))))
 
     def to_dict(self) -> dict:
         return asdict(self)
@@ -135,12 +140,6 @@ class ExperimentConfig:
                 except (TypeError, ValueError) as exc:
                     raise ConfigError(f"{what}: {exc}") from exc
         try:
-            for key in ("budgets", "x0", "z0", "observer_gain"):
-                if key in doc:
-                    doc[key] = tuple(doc[key])
-            for key in ("process_cov", "output_cov"):
-                if key in doc:
-                    doc[key] = tuple(tuple(row) for row in doc[key])
             return cls(**doc)
         except TypeError as exc:
             raise ConfigError(str(exc)) from exc
@@ -224,8 +223,8 @@ class RunResult:
     rmse_table: dict[str, RmseResult]
 
 
-def budget_key(budget: int | None) -> str:
-    return "converged" if budget is None else f"i{budget}"
+def budget_key(budget: int) -> str:
+    return f"i{budget}"
 
 
 def simulate_and_observe(cfg: ExperimentConfig) -> tuple[TrajectoryLog, ObserverLog]:

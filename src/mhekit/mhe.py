@@ -13,7 +13,7 @@ from typing import Callable
 
 import numpy as np
 
-from .dynamics import NumericsError, SystemModel
+from .dynamics import NumericsError, SystemModel, _as_record
 from .observer import ObserverLog
 
 FEASIBILITY_TOL = 1e-9
@@ -23,11 +23,13 @@ FEASIBILITY_TOL = 1e-9
 class CostSpec:
     """Prior weighting and stage cost together with their power bounds.
 
-    The bounds state c_lo * |.|^a <= term <= c_hi * |.|^a for the prior
-    weighting (in |chi - prior|), the disturbance part (in |omega|) and the
-    residual part (in |nu|). Gradient-based solving needs the derivative
-    maps, which give each term's gradient and curvature: its Hessian, or a
-    positive semidefinite stand-in such as a Gauss-Newton curvature.
+    The bounds state c_lo * |.|^a <= term <= c_hi * |.|^a for the disturbance
+    part (in |omega|) and the residual part (in |nu|), and the lower one,
+    c_p_lo * |chi - prior|^a, for the prior weighting. No upper prior bound
+    is needed: the observer-based candidate starts at the prior, so it pays
+    no prior cost. Gradient-based solving needs the derivative maps, which
+    give each term's gradient and curvature: its Hessian, or a positive
+    semidefinite stand-in such as a Gauss-Newton curvature.
 
     The maps act on arrays stacked along leading axes. For chi and its prior
     of shape (..., n), ``gamma`` returns (...) and ``gamma_derivs`` the
@@ -40,7 +42,6 @@ class CostSpec:
     stage: Callable[[np.ndarray, np.ndarray], np.ndarray]
     a: float
     c_p_lo: float
-    c_p_hi: float
     c_w_lo: float
     c_w_hi: float
     c_v_lo: float
@@ -49,7 +50,7 @@ class CostSpec:
     stage_derivs: Callable | None = None
 
     def __post_init__(self):
-        for name in ("a", "c_p_lo", "c_p_hi", "c_w_lo", "c_w_hi", "c_v_lo", "c_v_hi"):
+        for name in ("a", "c_p_lo", "c_w_lo", "c_w_hi", "c_v_lo", "c_v_hi"):
             if not getattr(self, name) > 0:
                 raise ValueError(f"{name} must be positive")
 
@@ -67,31 +68,27 @@ def _weight(m, name):
     return sym, float(vals[0]), float(vals[-1])
 
 
-def quadratic_cost(disturbance_weight, noise_weight, prior_weight=None) -> CostSpec:
+def quadratic_cost(disturbance_weight, noise_weight) -> CostSpec:
     """Quadratic cost from weight matrices (typically inverse covariances).
 
-    Stage cost omega' W omega + nu' V nu plus prior term
-    (chi - prior)' P (chi - prior); P defaults to the identity. Each weight
-    enters through its symmetric part, and the curvatures are the constants
-    2P, 2W and 2V. The power bounds follow from the extreme eigenvalues with
-    exponent 2.
+    Stage cost omega' W omega + nu' V nu plus the prior term
+    |chi - prior|^2 (identity weight P). Each weight enters through its
+    symmetric part, and the curvatures are the constants 2P, 2W and 2V. The
+    power bounds follow from the extreme eigenvalues with exponent 2.
     """
     w, w_lo, w_hi = _weight(disturbance_weight, "disturbance")
     v, v_lo, v_hi = _weight(noise_weight, "noise")
-    if prior_weight is None:
-        prior_weight = np.eye(len(w))
-    p, p_lo, p_hi = _weight(prior_weight, "prior")
-    p2, w2, v2 = 2.0 * p, 2.0 * w, 2.0 * v
+    p2, w2, v2 = 2.0 * np.eye(len(w)), 2.0 * w, 2.0 * v
 
     def gamma(chi, prior):
         d = (chi - prior)[..., None]
-        return (d.swapaxes(-1, -2) @ (p @ d))[..., 0, 0]  # d'(P d), window by window
+        return (d.swapaxes(-1, -2) @ d)[..., 0, 0]  # d'd, window by window
 
     def stage(om, nu):
         return np.sum(om * (om @ w.T), axis=-1) + np.sum(nu * (nu @ v.T), axis=-1)
 
     def gamma_derivs(chi, prior):
-        grad = 2.0 * (p @ (chi - prior)[..., None])[..., 0]
+        grad = 2.0 * (chi - prior)
         return grad, np.broadcast_to(p2, grad.shape + p2.shape[-1:])
 
     def stage_derivs(om, nu):
@@ -101,7 +98,7 @@ def quadratic_cost(disturbance_weight, noise_weight, prior_weight=None) -> CostS
 
     return CostSpec(
         gamma=gamma, stage=stage, a=2.0,
-        c_p_lo=p_lo, c_p_hi=p_hi, c_w_lo=w_lo, c_w_hi=w_hi, c_v_lo=v_lo, c_v_hi=v_hi,
+        c_p_lo=1.0, c_w_lo=w_lo, c_w_hi=w_hi, c_v_lo=v_lo, c_v_hi=v_hi,
         gamma_derivs=gamma_derivs, stage_derivs=stage_derivs,
     )
 
@@ -122,8 +119,6 @@ class HorizonProblem:
             raise ValueError("horizon must be at least 1")
         prior = np.ascontiguousarray(self.prior, dtype=np.float64)
         ys = np.ascontiguousarray(self.measurements, dtype=np.float64)
-        if ys.ndim == 1:
-            ys = ys.reshape(-1, self.model.p)
         if ys.shape != (self.horizon, self.model.p):
             raise ValueError(
                 f"need {self.horizon} measurements of dimension {self.model.p}"
@@ -321,7 +316,7 @@ def advance_window(
     """
     if t < 1:
         raise ValueError("windows exist for t >= 1")
-    ys = np.atleast_2d(np.asarray(outputs, dtype=np.float64))
+    ys = _as_record(outputs, model.p, "outputs")
     if ys.shape[0] < t:
         raise ValueError("measurement record shorter than t")
     m = min(horizon_cap, t)

@@ -13,7 +13,9 @@ from typing import Callable, Sequence
 
 import numpy as np
 
-from .dynamics import DEFAULT_DT, NumericsError, SystemModel, batch_reactor_model, write_csv
+from .dynamics import (
+    DEFAULT_DT, NumericsError, SystemModel, _as_record, batch_reactor_model, write_csv,
+)
 
 
 @dataclass(frozen=True, eq=False)
@@ -85,13 +87,11 @@ def observer_step(
 
 
 def run_observer(spec: ObserverSpec, z0, outputs) -> ObserverLog:
-    """Iterate the observer over a measurement record."""
+    """Iterate the observer over a measurement record ``outputs`` (K, p)."""
     z0 = np.ascontiguousarray(z0, dtype=np.float64)
     if not spec.model.state_set.contains(z0, tol=1e-12):
         raise ValueError("z0 is outside the state set")
-    ys = np.atleast_2d(np.asarray(outputs, dtype=np.float64))
-    if ys.size == 0:
-        ys = ys.reshape(0, spec.model.p)
+    ys = _as_record(outputs, spec.model.p, "outputs")
     K = ys.shape[0]
     states = np.empty((K + 1, spec.model.n))
     fit_errors = np.empty((K, spec.model.p))

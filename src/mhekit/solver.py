@@ -164,11 +164,18 @@ class _Terms(NamedTuple):
     h_v: np.ndarray
 
 
+def _outputs(name: str, value, count: int):
+    """The ``count`` outputs of derivative map ``name``, counted before unpacking."""
+    if not isinstance(value, (tuple, list)) or len(value) != count:
+        raise ValueError(f"{name} must return a tuple of {count} arrays")
+    return value
+
+
 def _terms(stack: WindowStack, chi0, omegas, resids, c) -> _Terms:
     """The cost's derivative maps, each called once on the stacked iterates
     (chi0, omegas) with residuals ``resids`` and output Jacobians ``c``."""
-    g_prior, h_prior = stack.cost.gamma_derivs(chi0, stack.prior)
-    g_w, g_v, h_w, h_v = stack.cost.stage_derivs(omegas, resids)
+    g_prior, h_prior = _outputs("gamma_derivs", stack.cost.gamma_derivs(chi0, stack.prior), 2)
+    g_w, g_v, h_w, h_v = _outputs("stage_derivs", stack.cost.stage_derivs(omegas, resids), 4)
     g_v = _stacked("stage_derivs", g_v, resids.shape)
     return _Terms(
         _stacked("gamma_derivs", g_prior, chi0.shape),
@@ -466,19 +473,16 @@ def solve_with_checkpoints(
     candidate: DecisionVector,
     cfg: SolverConfig,
     budgets: Sequence[int],
-    converged: bool = True,
 ):
-    """One pass that snapshots the shared iterate path at several budgets.
+    """One pass that snapshots the shared iterate path at several budgets
+    and at the converged baseline, the snapshot at ``cfg.max_iterations``.
 
     Because the iteration map does not depend on the budget, the snapshot at
     budget b is identical to a standalone ``solve_suboptimal`` run with
-    ``max_iterations=b``. The converged result is the snapshot at
-    ``cfg.max_iterations``. Returns (per-budget dict, converged result or
-    None). Results after zero steps are the candidate itself, so treat them
-    as read-only.
+    ``max_iterations=b``. Returns (per-budget dict, converged result).
+    Results after zero steps are the candidate itself: treat them as read-only.
     """
     ordered = sorted(set(budgets))
-    stops = (*ordered, cfg.max_iterations) if converged else ordered
-    solved = solve_windows([problem], [candidate], stops)
-    results = [solved.result(0, k) for k in range(len(stops))]
-    return dict(zip(ordered, results)), (results[-1] if converged else None)
+    solved = solve_windows([problem], [candidate], (*ordered, cfg.max_iterations))
+    results = [solved.result(0, k) for k in range(len(ordered) + 1)]
+    return dict(zip(ordered, results)), results[-1]

@@ -212,10 +212,11 @@ def test_criterion_6_oracle_equivalences(reactor, quad_cost):
 
     # (b) converged solver vs stacked weighted least squares on linear windows
     from test_solver import linear_model
+    from test_window_pass import prior_weighted
 
     model = lin = linear_model()
     weights = {"w": np.diag([4.0, 2.0]), "v": np.array([[3.0]]), "p": np.diag([1.0, 2.0])}
-    cost = mk.quadratic_cost(weights["w"], weights["v"], weights["p"])
+    cost = prior_weighted(mk.quadratic_cost(weights["w"], weights["v"]), weights["p"])
     sq = {name: np.linalg.cholesky(m).T for name, m in weights.items()}
     worst_wls = 0.0
     for trial in range(3):

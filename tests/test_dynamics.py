@@ -4,47 +4,46 @@ import numpy as np
 import pytest
 
 import mhekit as mk
-from mhekit.dynamics import BoxSet, NoiseSpec, NumericsError, batch_reactor_drift, write_csv
+from mhekit.dynamics import BoxSet, NoiseSpec, NumericsError, _reactor_drift, _rk4, write_csv
 
 
 class TestBatchReactorDrift:
     def test_direct_substitution(self):
         # -2*0.16*25 + 2*0.64*2 = -5.44, 0.16*25 - 0.64*2 = 2.72
         np.testing.assert_allclose(
-            batch_reactor_drift([5.0, 2.0]), [-5.44, 2.72], rtol=0, atol=1e-14
+            _reactor_drift(np.array([5.0, 2.0])), [-5.44, 2.72], rtol=0, atol=1e-14
         )
 
     def test_origin_is_equilibrium(self):
-        assert np.array_equal(batch_reactor_drift([0.0, 0.0]), [0.0, 0.0])
+        assert np.array_equal(_reactor_drift(np.array([0.0, 0.0])), [0.0, 0.0])
 
     def test_nontrivial_equilibrium(self):
         # k1 * 2^2 == k2 * 1, so (2, 1) is a fixed point of the kinetics.
-        assert np.array_equal(batch_reactor_drift([2.0, 1.0]), [0.0, 0.0])
-
-    def test_dimension_mismatch(self):
-        with pytest.raises(ValueError):
-            batch_reactor_drift([1.0, 2.0, 3.0])
+        assert np.array_equal(_reactor_drift(np.array([2.0, 1.0])), [0.0, 0.0])
 
 
 class TestRk4Step:
+    """The classical Runge-Kutta step, as the reactor's transition
+    ``batch_reactor_model(dt).f`` takes it."""
+
     def test_exact_for_constant_field(self):
         c = np.array([1.5, -0.25])
         x = np.array([0.3, 0.7])
-        out = mk.rk4_step(lambda _: c, x, 0.2)
+        out = _rk4(lambda _: c, x, 0.2)
         # exact up to the rounding of dt/6 (one ulp)
         np.testing.assert_allclose(out, x + 0.2 * c, rtol=0, atol=1e-15)
 
     def _euler(self, x0, total, dt):
         x = np.asarray(x0, dtype=float).copy()
         for _ in range(int(round(total / dt))):
-            x = x + dt * batch_reactor_drift(x)
+            x = x + dt * _reactor_drift(x)
         return x
 
     def test_fine_euler_oracle_small_step(self):
         # At dt = 0.01 the one-step truncation error sits far below the
         # oracle's own ~1e-7 error, so the comparison is tight.
         x = np.array([5.0, 2.0])
-        got = mk.rk4_step(batch_reactor_drift, x, 0.01)
+        got = mk.batch_reactor_model(0.01).f(x)
         ref = self._euler(x, 0.01, 1e-6)
         np.testing.assert_allclose(got, ref, rtol=0, atol=1e-6)
 
@@ -53,34 +52,30 @@ class TestRk4Step:
         # truncation error at (5, 2) is ~6e-5 per entry (confirmed 4th
         # order below), which dominates the Euler oracle's ~1e-6.
         x = np.array([5.0, 2.0])
-        got = mk.rk4_step(batch_reactor_drift, x, 0.1)
+        got = mk.batch_reactor_model(0.1).f(x)
         ref = self._euler(x, 0.1, 1e-6)
         np.testing.assert_allclose(got, ref, rtol=0, atol=1e-4)
 
     def test_fourth_order_convergence(self):
         x = np.array([5.0, 2.0])
+        fine = mk.batch_reactor_model(1e-4).f
         ref = x.copy()
         for _ in range(1000):
-            ref = mk.rk4_step(batch_reactor_drift, ref, 1e-4)
-        coarse = mk.rk4_step(batch_reactor_drift, x, 0.1)
-        half = mk.rk4_step(
-            batch_reactor_drift, mk.rk4_step(batch_reactor_drift, x, 0.05), 0.05
-        )
-        ratio = np.linalg.norm(coarse - ref) / np.linalg.norm(half - ref)
+            ref = fine(ref)
+        coarse = mk.batch_reactor_model(0.1).f(x)
+        half = mk.batch_reactor_model(0.05).f
+        ratio = np.linalg.norm(coarse - ref) / np.linalg.norm(half(half(x)) - ref)
         assert 10.0 < ratio < 25.0  # ~2^4 for a 4th-order one-step method
 
     def test_linear_invariant_single_step(self):
         x = np.array([3.7, 1.1])
-        out = mk.rk4_step(batch_reactor_drift, x, 0.1)
+        out = mk.batch_reactor_model(0.1).f(x)
         assert abs(out[0] + 2 * out[1] - (x[0] + 2 * x[1])) < 1e-13
 
     def test_rejects_nonpositive_dt(self):
-        with pytest.raises(ValueError):
-            mk.rk4_step(batch_reactor_drift, np.array([1.0, 1.0]), 0.0)
-
-    def test_nonfinite_raises(self):
-        with pytest.raises(NumericsError):
-            mk.rk4_step(lambda x: x * np.inf, np.array([1.0, 1.0]), 0.1)
+        for dt in (0.0, -0.1, np.nan):
+            with pytest.raises(ValueError, match="dt must be positive"):
+                mk.batch_reactor_model(dt)
 
 
 class TestReactorMapsOnStacks:
@@ -152,6 +147,15 @@ class TestSimulate:
         with pytest.warns(RuntimeWarning, match="left the state set"):
             log = mk.simulate(bounded, [5.0, 2.0], w, np.zeros((3, 1)), 3)
         assert log.excursions  # recorded, not projected
+
+    def test_records_of_the_wrong_width_raise(self, reactor):
+        w, v = np.zeros((20, 2)), np.zeros((20, 1))
+        with pytest.raises(ValueError, match=r"disturbances must have shape \(T, 2\), got \(20,\)"):
+            mk.simulate(reactor, [5.0, 2.0], w[:, 0], v, 20)
+        with pytest.raises(ValueError, match=r"noises must have shape \(T, 1\), got \(20,\)"):
+            mk.simulate(reactor, [5.0, 2.0], w, v[:, 0], 20)
+        with pytest.raises(ValueError, match="noises must have shape"):
+            mk.simulate(reactor, [5.0, 2.0], w, np.zeros((20, 2)), 20)
 
     def test_x0_outside_state_set_raises(self, reactor):
         from dataclasses import replace

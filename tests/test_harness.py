@@ -15,11 +15,15 @@ from mhekit.harness import ConfigError, ExperimentConfig, analyze_run, budget_ke
 
 class TestExperimentConfig:
     def test_round_trip_identity(self):
-        cfg = ExperimentConfig(seed=5, steps=30, budgets=(0, 1, 4))
-        doc = cfg.to_dict()
-        again = ExperimentConfig.from_dict(doc)
-        assert again == cfg
-        assert again.to_dict() == doc
+        for cfg in (
+            ExperimentConfig(seed=5, steps=30, budgets=(0, 1, 4)),
+            # built from lists, as JSON gives them
+            ExperimentConfig(budgets=[0, 2], x0=[5.0, 2.0], output_cov=[[0.04]]),
+        ):
+            doc = cfg.to_dict()
+            again = ExperimentConfig.from_dict(doc)
+            assert again == cfg and hash(again) == hash(cfg)
+            assert again.to_dict() == doc
 
     def test_json_file_round_trip(self, tmp_path):
         cfg = ExperimentConfig(seed=77)
@@ -120,11 +124,9 @@ def per_window_oracle(cfg):
     for t in range(1, cfg.steps + 1):
         problem = mk.advance_window(model, cost, cfg.horizon, truth.outputs, olog, t)
         candidate = mk.build_candidate(olog, problem.start, problem.horizon)
-        per_budget, final = mk.solve_with_checkpoints(
-            problem, candidate, cfg.solver, cfg.budgets, converged=cfg.include_converged
-        )
+        per_budget, final = mk.solve_with_checkpoints(problem, candidate, cfg.solver, cfg.budgets)
         solved = {budget_key(b): res for b, res in per_budget.items()}
-        if final is not None:
+        if cfg.include_converged:
             solved["converged"] = final
         for key, (d, report) in solved.items():
             estimates[key][t] = mk.rollout(problem, d).states[-1]
@@ -289,7 +291,7 @@ class TestAnalyzeRun:
         report = analyze_run(short_run)
         assert report["fitted_observer_constants"].fitted
         for key, env in report["envelope_reports"].items():
-            assert env.satisfied, key
+            assert env.min_margin >= 0.0, key
         for key, margins in report["cost_margins"].items():
             assert np.all(margins >= 0), key
 

@@ -24,7 +24,7 @@ class TestQuadraticCost:
         assert abs(quad_cost.c_w_hi - 100.0) < 1e-9
         assert abs(quad_cost.c_v_lo - 25.0) < 1e-9
         assert abs(quad_cost.c_v_hi - 25.0) < 1e-9
-        assert quad_cost.c_p_lo == 1.0 and quad_cost.c_p_hi == 1.0
+        assert quad_cost.c_p_lo == 1.0
 
     def test_two_sided_bounds_sampled(self, quad_cost):
         rng = np.random.default_rng(1)
@@ -35,7 +35,7 @@ class TestQuadraticCost:
             nu = rng.normal(0, 1, 1)
             gamma = quad_cost.gamma(chi, xb)
             d = np.linalg.norm(chi - xb)
-            assert quad_cost.c_p_lo * d**2 - 1e-9 <= gamma <= quad_cost.c_p_hi * d**2 + 1e-9
+            assert quad_cost.c_p_lo * d**2 - 1e-9 <= gamma <= d**2 + 1e-9
             stage = quad_cost.stage(om, nu)
             lo = quad_cost.c_w_lo * np.linalg.norm(om) ** 2 + quad_cost.c_v_lo * np.linalg.norm(nu) ** 2
             hi = quad_cost.c_w_hi * np.linalg.norm(om) ** 2 + quad_cost.c_v_hi * np.linalg.norm(nu) ** 2
@@ -43,9 +43,7 @@ class TestQuadraticCost:
 
     def test_stage_maps_on_stacks_equal_per_row_values(self):
         rng = np.random.default_rng(2)
-        cost = mk.quadratic_cost(
-            [[3.0, 0.4], [0.4, 2.0]], [[2.0, -0.3], [-0.3, 1.5]], np.eye(2)
-        )
+        cost = mk.quadratic_cost([[3.0, 0.4], [0.4, 2.0]], [[2.0, -0.3], [-0.3, 1.5]])
         om = rng.normal(0, 1, (4, 6, 2))
         nu = rng.normal(0, 1, (4, 6, 2))
         derivs = [lambda om, nu, k=k: cost.stage_derivs(om, nu)[k] for k in range(4)]
@@ -190,6 +188,11 @@ class TestAdvanceWindow:
         truth, olog = noisy_setup
         with pytest.raises(ValueError):
             mk.advance_window(reactor, quad_cost, 10, truth.outputs, olog, 0)
+
+    def test_outputs_of_the_wrong_width_raise(self, reactor, quad_cost, noisy_setup):
+        truth, olog = noisy_setup
+        with pytest.raises(ValueError, match=r"outputs must have shape \(T, 1\), got \(30,\)"):
+            mk.advance_window(reactor, quad_cost, 10, truth.outputs[:, 0], olog, 20)
 
 
 class TestCheckFeasible:

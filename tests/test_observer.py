@@ -78,6 +78,12 @@ class TestRunObserver:
         assert olog.states.shape == (1, 2)
         assert olog.steps == 0
 
+    def test_outputs_of_the_wrong_width_raise(self, reactor_observer):
+        with pytest.raises(ValueError, match=r"outputs must have shape \(T, 1\), got \(5,\)"):
+            mk.run_observer(reactor_observer, [3.0, 0.0], np.full(5, 7.0))
+        with pytest.raises(ValueError, match="outputs must have shape"):
+            mk.run_observer(reactor_observer, [3.0, 0.0], np.zeros((5, 2)))
+
     def test_convergence_from_case_study_start(self, reactor, reactor_observer):
         log = mk.simulate(
             reactor, [5.0, 2.0], np.zeros((600, 2)), np.zeros((600, 1)), 600

@@ -8,7 +8,7 @@ from mhekit import solver
 from mhekit.dynamics import BoxSet, NoiseSpec, SystemModel
 from mhekit.mhe import WindowStack
 from mhekit.solver import InfeasibleCandidateError, _gn_direction, _jacobians, _terms
-from test_window_pass import smooth_l1_cost
+from test_window_pass import prior_weighted, smooth_l1_cost
 
 
 @pytest.fixture(scope="module")
@@ -173,8 +173,8 @@ class TestGaussNewtonDirection:
             noise_set=BoxSet([-3.0], [3.0]),
         )
         for k in range(5):  # four random quadratic costs, then smooth-L1
-            cost = smooth_l1_cost() if k == 4 else mk.quadratic_cost(
-                random_spd(rng, 2, 50.0), random_spd(rng, 1, 10.0),
+            cost = smooth_l1_cost() if k == 4 else prior_weighted(
+                mk.quadratic_cost(random_spd(rng, 2, 50.0), random_spd(rng, 1, 10.0)),
                 random_spd(rng, 2, 1.0),
             )
             chi0 = rng.uniform(1.0, 5.0, 2)
@@ -351,6 +351,21 @@ class TestMapShapes:
         with pytest.raises(ValueError, match=f"^{name} returned shape"):
             mk.solve_suboptimal(problem, candidate, mk.SolverConfig(max_iterations=1))
 
+    @pytest.mark.parametrize(
+        "name, short_map",
+        [
+            # the gradient alone, without the curvature
+            ("gamma_derivs", lambda chi, prior: 2.0 * (chi - prior)),
+            # the two gradients, without the curvatures
+            ("stage_derivs", lambda om, nu: (2.0 * om, 2.0 * nu)),
+        ],
+    )
+    def test_derivative_map_with_missing_outputs_is_named(self, window, name, short_map):
+        problem, candidate = window
+        problem = replace(problem, cost=replace(problem.cost, **{name: short_map}))
+        with pytest.raises(ValueError, match=f"^{name} must return a tuple of [24] arrays"):
+            mk.solve_suboptimal(problem, candidate, mk.SolverConfig(max_iterations=1))
+
 
 class TestSolveSuboptimal:
     def test_zero_budget_returns_candidate_unchanged(self, window):
@@ -503,7 +518,7 @@ class TestSolveConverged:
     def test_matches_weighted_least_squares_oracle(self):
         model = linear_model()
         w, v, p = np.diag([4.0, 2.0]), np.array([[3.0]]), np.diag([1.0, 2.0])
-        cost = mk.quadratic_cost(w, v, p)
+        cost = prior_weighted(mk.quadratic_cost(w, v), p)
         rng = np.random.default_rng(5)
         m = 6
         ys = rng.normal(0, 1, (m, 1))

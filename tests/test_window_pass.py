@@ -45,13 +45,31 @@ def smooth_l1_cost() -> mk.CostSpec:
     return mk.CostSpec(
         gamma=lambda chi, prior: np.sum((chi - prior) ** 2, axis=-1),
         stage=stage,
-        a=2.0, c_p_lo=1.0, c_p_hi=1.0, c_w_lo=w, c_w_hi=w, c_v_lo=v, c_v_hi=v,
+        a=2.0, c_p_lo=1.0, c_w_lo=w, c_w_hi=w, c_v_lo=v, c_v_hi=v,
         gamma_derivs=lambda chi, prior: (
             2.0 * (chi - prior),
             np.broadcast_to(2.0 * np.eye(chi.shape[-1]), chi.shape + chi.shape[-1:]),
         ),
         stage_derivs=stage_derivs,
     )
+
+
+def prior_weighted(cost: mk.CostSpec, weight) -> mk.CostSpec:
+    """``cost`` with the prior term (chi - prior)' P (chi - prior) of the
+    symmetric part P of a positive definite ``weight``."""
+    p = np.asarray(weight, dtype=float)
+    p = 0.5 * (p + p.T)
+
+    # d'(P d) window by window, so that a stack rounds as its windows alone
+    def gamma(chi, prior):
+        d = (chi - prior)[..., None]
+        return (d.swapaxes(-1, -2) @ (p @ d))[..., 0, 0]
+
+    def gamma_derivs(chi, prior):
+        grad = 2.0 * (p @ (chi - prior)[..., None])[..., 0]
+        return grad, np.broadcast_to(2.0 * p, grad.shape + p.shape[-1:])
+
+    return replace(cost, gamma=gamma, gamma_derivs=gamma_derivs, c_p_lo=np.linalg.eigvalsh(p)[0])
 
 
 COSTS = {
@@ -102,11 +120,8 @@ def test_reused_pass_matches_fresh_evaluation(seed, horizon, margin, cost):
     problem, candidate = bounded_window(seed, horizon, margin, COSTS[cost])
     j_cand = mk.eval_cost(problem, candidate)
     assert mk.rollout(problem, candidate).cost == j_cand
-    per_budget, _ = mk.solve_with_checkpoints(
-        problem, candidate, mk.SolverConfig(), (0, 1, 3),
-        converged=False,
-    )
-    for d, report in per_budget.values():
+    solved = mk.solve_windows([problem], [candidate], (0, 1, 3))
+    for d, report in (solved.result(0, k) for k in range(3)):
         assert report.cost_trace[0] == j_cand
         assert np.all(np.diff(report.cost_trace) <= 0)
         assert mk.rollout(problem, d).cost == mk.eval_cost(problem, d)
@@ -289,7 +304,7 @@ def random_linear_windows(seed: int, n: int, p: int, horizons):
         return g @ g.T + k * np.eye(k)
 
     w, v, pw = spd(n), spd(p), spd(n)
-    cost = mk.quadratic_cost(w, v, pw)
+    cost = prior_weighted(mk.quadratic_cost(w, v), pw)
     windows = []
     for m in horizons:
         ys, prior = rng.normal(size=(m, p)), rng.normal(size=n)
